@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 1 verification failure, 2 input error.  All commands
 are deterministic given the model file, flags and seed; reals are printed
-with full round-trip precision.  The environment variable VAXFRONT_THREADS
-caps internal parallelism (0 = auto, default 1).
+with full round-trip precision.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import numpy as np
 
 from .acceptance import run_criteria
 from .convexity import classify_convexity, probe_convexity
-from .errors import VaxfrontError
+from .errors import ParseError, ValidationError, VaxfrontError
 from .frontier import (
     anti_pareto_frontier,
     feasible_region_sample,
@@ -27,6 +26,7 @@ from .model import (
     CostFunction,
     MetapopModel,
     Strategy,
+    _read_json,
     cost,
     grid_to_model,
     load_grid,
@@ -50,8 +50,16 @@ def _parse_cost(spec: str) -> CostFunction:
 
 def _parse_eta(spec: str, n: int) -> Strategy:
     if spec.startswith("@"):
-        with open(spec[1:], "r", encoding="utf-8") as fh:
-            values = json.load(fh)
+        try:
+            values = _read_json(spec[1:])
+        except ParseError as exc:
+            raise ValidationError(f"bad eta file: {exc}") from exc
+        if not isinstance(values, list) or not all(
+            type(v) in (int, float) for v in values
+        ):
+            raise ValidationError(
+                f"eta file {spec[1:]} must hold a JSON list of numbers"
+            )
     else:
         try:
             values = [float(x) for x in spec.split(",")]

@@ -16,8 +16,6 @@ lower bound.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +39,7 @@ from .spectral import (
     re_gradient,
     spectral_radius,
 )
-from .structure import frobenius_decompose
+from .structure import _atom_submodel, frobenius_decompose
 
 ARMIJO_SHRINK = 0.5
 ARMIJO_DECREASE = 1e-4
@@ -52,25 +50,6 @@ LOSS_ZERO_TOL = 1e-8
 _STARTS_SEED = 7151020
 _FD_STEP = 1e-6
 _BATCH = 65536
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("VAXFRONT_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    if value == 0:
-        return min(4, os.cpu_count() or 1)
-    return max(1, value)
-
-
-def _maybe_parallel_map(fn, items):
-    workers = _thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _raise_to_budget(x: np.ndarray, w: np.ndarray, target: float) -> np.ndarray:
@@ -314,13 +293,11 @@ def optimal_loss(
     else:
         start_points += _min_starts(n, project, starts)
     best = None
-    for fx, x in _maybe_parallel_map(
-        lambda s: _pgd(
-            model, project, s, maximize=False, max_iter=max_iter,
+    for start in start_points:
+        fx, x = _pgd(
+            model, project, start, maximize=False, max_iter=max_iter,
             window_tol=window_tol,
-        ),
-        start_points,
-    ):
+        )
         if _better(best, (fx, x), maximize=False):
             best = (fx, x)
         if best[0] <= 1e-13:
@@ -469,13 +446,11 @@ def optimal_loss_max(
         if best is not None:
             start_points.append(best[1])
         start_points += _min_starts(n, project, starts)
-        for fx, x in _maybe_parallel_map(
-            lambda s: _pgd(
-                model, project, s, maximize=True, max_iter=max_iter,
+        for start in start_points:
+            fx, x = _pgd(
+                model, project, start, maximize=True, max_iter=max_iter,
                 window_tol=window_tol,
-            ),
-            start_points,
-        ):
+            )
             if _better(best, (fx, x), maximize=True):
                 best = (fx, x)
     return OptimalPoint(
@@ -652,19 +627,6 @@ class AssembledFrontiers:
     pareto: FrontierCurve
     anti: FrontierCurve
     per_atom: tuple[tuple[tuple[int, ...], FrontierCurve, FrontierCurve], ...]
-
-
-def _atom_submodel(model, cost_fn, atom):
-    idx = list(atom)
-    sub_weights = model.weights[idx]
-    scale = sub_weights.sum()
-    sub_model = MetapopModel(
-        weights=sub_weights / scale, matrix=model.matrix[np.ix_(idx, idx)]
-    )
-    sub_cost = CostFunction.affine(
-        cost_fn.coefficient_vector(model.n)[idx] * scale
-    )
-    return sub_model, sub_cost
 
 
 def assemble_reducible(

@@ -7,6 +7,13 @@ since the effective operator then squares to zero.  For symmetric supports
 the cheapest eradicating strategy is the indicator of a cost-maximal
 independent set; for asymmetric supports that value is only an upper bound
 on the true eradication cost and is flagged as such.
+
+The exact search is a branch and bound on bitmasks, include-first on the
+lowest-index candidate, pruned by a greedy weighted clique cover of the
+candidates (an independent set takes at most one vertex per clique; see
+Ostergard 2002, "A fast algorithm for the maximum clique problem", for the
+colouring form of the same bound).  Among the sets of maximal weight, summed
+in ascending index order, it returns the lexicographically smallest.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import numpy as np
 from .errors import BudgetExceeded, ValidationError
 from .model import CostFunction, MetapopModel, Strategy, c_max, cost
 from .spectral import effective_re
-from .structure import frobenius_decompose
+from .structure import _atom_submodel, frobenius_decompose
 
 EXACT_SEARCH_BUDGET = 40
 
@@ -53,32 +60,50 @@ def _conflict_graph(matrix: np.ndarray):
 
 
 def _mwis_branch_and_bound(allowed, adj, weights):
-    """Exact MWIS by include-first branch and bound with a sum bound.
+    """Exact MWIS by include-first branch and bound with a clique-cover bound.
 
-    Returns the lexicographically smallest optimal set (as a sorted index
-    tuple) among the optima the search proves equal.
+    The candidates of a node are one bitmask.  Its bound is the current
+    weight plus, over a greedy clique cover of the candidates, each clique's
+    largest weight: every candidate joins, in ascending index order, the
+    first clique whose members are all adjacent to it.  An independent set
+    takes at most one vertex per clique, so the bound holds.
+
+    Branching is include-first on the lowest-index candidate and a set's
+    weight is summed in ascending index order.  A node is pruned only when
+    its bound lies below the best weight by more than a relative slack of
+    1e-12 (total weight + 1), far above the rounding of either sum, so every
+    set of maximal weight is reached.  The result is the lexicographically
+    smallest of them (as a sorted index tuple) and its weight.
     """
-    order = sorted(allowed)
+    w = [float(x) for x in weights]
+    slack = 1e-12 * (sum(w) + 1.0)
     best_weight = -1.0
     best_set: tuple[int, ...] = ()
 
-    def visit(start: int, banned: int, current: list, weight: float):
+    def cover_bound(candidates: int) -> float:
+        cliques = []  # [member mask, largest weight]
+        placed = 0
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            v = low.bit_length() - 1
+            neighbours = adj[v] & placed
+            # Skipping the scan when v has no placed neighbour keeps
+            # isolated vertices linear; no clique could take them.
+            for clique in cliques if neighbours else ():
+                if not clique[0] & ~neighbours:
+                    clique[0] |= low
+                    if w[v] > clique[1]:
+                        clique[1] = w[v]
+                    break
+            else:
+                cliques.append([low, w[v]])
+            placed |= low
+        return sum(clique[1] for clique in cliques)
+
+    def visit(candidates: int, current: list, weight: float):
         nonlocal best_weight, best_set
-        # Greedy bound: everything not yet banned could still be added.
-        bound = weight
-        for k in range(start, len(order)):
-            v = order[k]
-            if not (banned >> v & 1):
-                bound += weights[v]
-        if bound < best_weight:
-            return
-        chosen = None
-        for k in range(start, len(order)):
-            v = order[k]
-            if not (banned >> v & 1):
-                chosen = (k, v)
-                break
-        if chosen is None:
+        if not candidates:
             candidate = tuple(current)
             if weight > best_weight or (
                 weight == best_weight and candidate < best_set
@@ -86,13 +111,16 @@ def _mwis_branch_and_bound(allowed, adj, weights):
                 best_weight = weight
                 best_set = candidate
             return
-        k, v = chosen
+        if weight + cover_bound(candidates) < best_weight - slack:
+            return
+        low = candidates & -candidates
+        v = low.bit_length() - 1
         current.append(v)
-        visit(k + 1, banned | adj[v] | (1 << v), current, weight + weights[v])
+        visit(candidates & ~adj[v] & ~low, current, weight + w[v])
         current.pop()
-        visit(k + 1, banned | (1 << v), current, weight)
+        visit(candidates ^ low, current, weight)
 
-    visit(0, 0, [], 0.0)
+    visit(sum(1 << v for v in allowed), [], 0.0)
     return best_set, best_weight if best_weight >= 0 else 0.0
 
 
@@ -102,7 +130,9 @@ def max_independent_set(
     """Exact maximum-weight independent set of the kernel support.
 
     Vertex weights are coef_i * mu_i; groups with K_ii > 0 are excluded
-    outright.  Models beyond 40 groups are refused unless ``force`` is set.
+    outright.  Ties between sets of equal weight go to the lexicographically
+    smallest index tuple.  Models beyond 40 groups are refused unless
+    ``force`` is set.
     """
     if model.n > EXACT_SEARCH_BUDGET and not force:
         raise BudgetExceeded(
@@ -159,15 +189,7 @@ def eradication_cost(
         decomp = frobenius_decompose(model)
         kept = list(decomp.remainder)
         for atom in decomp.atoms:
-            sub_weights = model.weights[list(atom)]
-            scale = sub_weights.sum()
-            sub_model = MetapopModel(
-                weights=sub_weights / scale,
-                matrix=model.matrix[np.ix_(list(atom), list(atom))],
-            )
-            sub_cost = CostFunction.affine(
-                cost_fn.coefficient_vector(model.n)[list(atom)] * scale
-            )
+            sub_model, sub_cost = _atom_submodel(model, cost_fn, atom)
             sub = max_independent_set(sub_model, sub_cost, force=force)
             kept.extend(atom[j] for j in sub.set)
         chosen = tuple(sorted(kept))

@@ -271,14 +271,19 @@ def _reject_nonfinite_token(token: str):
     raise ParseError(f"non-finite number {token!r} not allowed in input files")
 
 
-def _load_json(path: str) -> dict:
+def _read_json(path: str):
+    """Parse a JSON file strictly: NaN and Infinity tokens are refused."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, parse_constant=_reject_nonfinite_token)
+            return json.load(fh, parse_constant=_reject_nonfinite_token)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _load_json(path: str) -> dict:
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top-level JSON object expected")
     return data

@@ -88,6 +88,21 @@ def frobenius_decompose(
     )
 
 
+def _atom_submodel(model: MetapopModel, cost_fn: CostFunction, atom):
+    """The model restricted to one atom, with weights renormalized to sum to
+    one and the cost rescaled so that sub-costs equal whole-model costs."""
+    idx = list(atom)
+    sub_weights = model.weights[idx]
+    scale = sub_weights.sum()
+    sub_model = MetapopModel(
+        weights=sub_weights / scale, matrix=model.matrix[np.ix_(idx, idx)]
+    )
+    sub_cost = CostFunction.affine(
+        cost_fn.coefficient_vector(model.n)[idx] * scale
+    )
+    return sub_model, sub_cost
+
+
 def is_invariant(model: MetapopModel, subset) -> bool:
     """True when the group set cannot infect its complement: K(A^c, A) = 0."""
     a = sorted(set(int(i) for i in subset))

@@ -62,6 +62,21 @@ class TestCompute:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "text",
+        ["{bad", "3", "[NaN" + ", 1.0" * 11 + "]"],
+        ids=["malformed", "not-a-list", "nan"],
+    )
+    def test_bad_eta_file_exit_2(self, capsys, cycle_path, tmp_path, text):
+        eta_file = tmp_path / "eta.json"
+        eta_file.write_text(text)
+        code, out, err = run(
+            capsys, ["compute", "--model", cycle_path, "--eta", f"@{eta_file}"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "eta" in err
+
     def test_grid_input(self, capsys, tmp_path):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"grid_points": 2, "samples": [[1.0, 1.0], [1.0, 1.0]]}))

@@ -352,16 +352,6 @@ class TestFeasibleRegionSample:
         assert max(top) >= 0.5 - 1e-9
 
 
-class TestThreadedExecution:
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        model = fixtures.cycle_model()
-        sequential = optimal_loss(model, UNIFORM, 0.25)
-        monkeypatch.setenv("VAXFRONT_THREADS", "3")
-        threaded = optimal_loss(model, UNIFORM, 0.25)
-        assert threaded.loss == sequential.loss
-        assert np.array_equal(threaded.strategy.values, sequential.strategy.values)
-
-
 class TestGridOracleFourGroups:
     def test_four_group_face_grid(self):
         from vaxfront import effective_re_batch

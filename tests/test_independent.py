@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vaxfront import (
     BudgetExceeded,
@@ -91,6 +94,128 @@ class TestMaxIndependentSet:
         k[2, 3] = k[3, 2] = 1.0
         result = max_independent_set(model_of(k), UNIFORM)
         assert result.set == (0, 2)
+
+
+def ring2_matrix(n):
+    k = np.zeros((n, n))
+    for i in range(n):
+        for step in (1, 2):
+            k[i, (i + step) % n] = k[(i + step) % n, i] = 1.0
+    return k
+
+
+def grid_matrix(rows, cols):
+    k = np.zeros((rows * cols, rows * cols))
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                k[v, v + 1] = k[v + 1, v] = 1.0
+            if r + 1 < rows:
+                k[v, v + cols] = k[v + cols, v] = 1.0
+    return k
+
+
+def lexicographic_mwis(model, cost_fn):
+    """The lexicographically smallest of all maximal-weight independent sets,
+    each weight summed in ascending index order; exhaustive."""
+    weights = cost_fn.coefficient_vector(model.n) * model.weights
+    k = model.matrix
+    adjacent = ((k > 0) | (k.T > 0)).tolist()
+    allowed = [i for i in range(model.n) if k[i, i] == 0]
+    best = (-1.0, ())
+    for size in range(len(allowed) + 1):
+        for subset in itertools.combinations(allowed, size):
+            if any(adjacent[i][j] for i, j in itertools.combinations(subset, 2)):
+                continue
+            weight = 0.0
+            for v in subset:
+                weight += weights[v]
+            if weight > best[0] or (weight == best[0] and subset < best[1]):
+                best = (weight, subset)
+    return best
+
+
+@st.composite
+def symmetric_supports(draw):
+    n = draw(st.integers(1, 14))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    loop = st.sampled_from([False] * 4 + [True])
+    loops = draw(st.lists(loop, min_size=n, max_size=n))
+    k = np.zeros((n, n))
+    for (i, j), edge in zip(pairs, edges):
+        if edge:
+            k[i, j] = k[j, i] = 1.0
+    k[np.diag_indices(n)] = loops
+    kind = draw(st.sampled_from(["uniform", "integer", "tenths", "affine"]))
+    if kind == "uniform":
+        cost_fn = UNIFORM
+    elif kind == "integer":
+        cost_fn = CostFunction.affine(
+            draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        )
+    elif kind == "tenths":
+        # Decimal fractions make sets of equal real weight differ by rounding.
+        tenths = st.sampled_from([0.1, 0.2, 0.3, 0.6, 0.7])
+        cost_fn = CostFunction.affine(
+            draw(st.lists(tenths, min_size=n, max_size=n))
+        )
+    else:
+        cost_fn = CostFunction.affine(
+            draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n))
+        )
+    return model_of(k), cost_fn
+
+
+class TestExactSearch:
+    @settings(max_examples=150, deadline=None)
+    @given(symmetric_supports())
+    def test_lexicographically_smallest_optimum(self, case):
+        model, cost_fn = case
+        result = max_independent_set(model, cost_fn)
+        weight, expected = lexicographic_mwis(model, cost_fn)
+        assert result.set == expected
+        assert result.weight == weight
+
+    def test_rounding_near_tie(self):
+        # {1, 3, 4, 5} and {3, 4, 5, 6} have the same real weight, but summed
+        # in ascending order the second is one ulp heavier.  The clique-cover
+        # bound sums the same weights in another order and rounds below it;
+        # without the pruning slack the search would return the first set.
+        # Group 7 has a self-loop and only makes the weights sum to one.
+        k = np.zeros((8, 8))
+        for i, j in [(0, 1), (0, 3), (0, 4), (0, 6), (1, 2), (1, 6), (2, 4)]:
+            k[i, j] = k[j, i] = 1.0
+        k[7, 7] = 1.0
+        weights = np.array([0.4, 0.1, 0.1, 0.5, 0.6, 0.1, 0.1, 0.0]) / 2
+        weights[7] = 1.0 - math.fsum(weights.tolist())
+        result = max_independent_set(model_of(k, weights), UNIFORM)
+        assert result.set == (3, 4, 5, 6)
+
+    @pytest.mark.parametrize(
+        "matrix, expected",
+        [
+            (fixtures.cycle_model(40).matrix, tuple(range(0, 40, 2))),
+            (ring2_matrix(40), tuple(range(0, 37, 3))),
+            (
+                grid_matrix(5, 8),
+                tuple(v for v in range(40) if (v // 8 + v % 8) % 2 == 0),
+            ),
+        ],
+        ids=["cycle-40", "ring2-40", "grid-5x8"],
+    )
+    def test_closed_forms_at_the_cap(self, matrix, expected):
+        model = model_of(matrix)
+        result = max_independent_set(model, UNIFORM)
+        assert result.set == expected
+
+    def test_forced_cycle_beyond_the_cap(self):
+        model = fixtures.cycle_model(60)
+        with pytest.raises(BudgetExceeded):
+            max_independent_set(model, UNIFORM)
+        result = max_independent_set(model, UNIFORM, force=True)
+        assert result.set == tuple(range(0, 60, 2))
 
 
 class TestEradicationCost:
