@@ -2,6 +2,30 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
+from .errors import ValidationError
+
+
+def support_components(matrix: np.ndarray, threshold: float = 0.0):
+    """Successor lists and strongly connected components of the support
+    digraph, edge j -> i iff ``matrix[i, j] > threshold``.  A complete
+    digraph (every entry above the threshold) skips the Tarjan walk."""
+    if not math.isfinite(threshold) or threshold < 0:
+        raise ValidationError("support threshold must be finite and nonnegative")
+    above = matrix > threshold
+    n = above.shape[0]
+    if above.all():
+        everyone = tuple(range(n))
+        return (everyone,) * n, [list(everyone)]
+    cols, rows = np.nonzero(above.T)
+    ends = np.cumsum(np.bincount(cols, minlength=n)).tolist()
+    flat = rows.tolist()
+    successors = tuple(tuple(flat[a:b]) for a, b in zip([0] + ends[:-1], ends))
+    return successors, tarjan_sccs(successors)
+
 
 def tarjan_sccs(successors) -> list[list[int]]:
     """Strongly connected components, iterative Tarjan.
@@ -62,6 +86,8 @@ def condensation_topological(sccs, successors) -> list[int]:
     Edges keep their direction, so with infector -> infectee successor lists
     the order starts at infection sources.
     """
+    if len(sccs) == 1:
+        return [0]
     comp_of = {}
     for ci, comp in enumerate(sccs):
         for v in comp:

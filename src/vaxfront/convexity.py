@@ -153,6 +153,8 @@ def probe_convexity(model: MetapopModel, trials: int, seed: int) -> ConvexityVer
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    if seed < 0:
+        raise ValidationError("seed must be nonnegative")
     n = model.n
     eta0 = np.empty((trials, n))
     eta1 = np.empty((trials, n))

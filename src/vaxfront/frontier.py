@@ -39,7 +39,7 @@ from .spectral import (
     re_gradient,
     spectral_radius,
 )
-from .structure import _atom_submodel, frobenius_decompose
+from .structure import _atom_submodel, _atoms, frobenius_decompose
 
 ARMIJO_SHRINK = 0.5
 ARMIJO_DECREASE = 1e-4
@@ -646,8 +646,8 @@ def assemble_reducible(
     of full vaccination freedom outside atoms, keeping the quasi-nilpotent
     remainder entirely non-vaccinated.
     """
-    decomp = frobenius_decompose(model)
-    if not decomp.atoms:
+    _, _, atoms, remainder = _atoms(model, 0.0)
+    if not atoms:
         raise ValidationError("assembly needs at least one atom")
     n = model.n
     cmax = c_max(cost_fn, model)
@@ -656,7 +656,7 @@ def assemble_reducible(
 
     per_atom = []
     sub_data = []
-    for atom in decomp.atoms:
+    for atom in atoms:
         sub_model, sub_cost = _atom_submodel(model, cost_fn, atom)
         sub_pareto = pareto_frontier(
             sub_model, sub_cost, resolution,
@@ -703,7 +703,7 @@ def assemble_reducible(
     pareto_points = []
     for level in losses:
         values = np.zeros(n)
-        values[list(decomp.remainder)] = 1.0
+        values[remainder] = 1.0
         for atom, sub_model, sub_cost, sub_pareto, _, _, radius, convex in sub_data:
             target = min(float(level), radius)
             budget = sub_pareto.cost_at(target)
@@ -794,6 +794,8 @@ def feasible_region_sample(
     """
     if samples < 1:
         raise ValidationError("samples must be >= 1")
+    if seed < 0:
+        raise ValidationError("seed must be nonnegative")
     n = model.n
     rng = np.random.default_rng(seed)
     etas = [rng.random((samples, n))]

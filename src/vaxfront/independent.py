@@ -25,7 +25,7 @@ import numpy as np
 from .errors import BudgetExceeded, ValidationError
 from .model import CostFunction, MetapopModel, Strategy, c_max, cost
 from .spectral import effective_re
-from .structure import _atom_submodel, frobenius_decompose
+from .structure import _atom_submodel, _atoms
 
 EXACT_SEARCH_BUDGET = 40
 
@@ -101,26 +101,26 @@ def _mwis_branch_and_bound(allowed, adj, weights):
             placed |= low
         return sum(clique[1] for clique in cliques)
 
-    def visit(candidates: int, current: list, weight: float):
-        nonlocal best_weight, best_set
+    # Depth-first over an explicit stack of (candidates, chosen groups in
+    # ascending order, weight), so that depth is not bounded by the
+    # interpreter's recursion limit.  The include branch is pushed last and
+    # so explored first, and a node's bound is taken when it is popped.
+    stack = [(sum(1 << v for v in allowed), (), 0.0)]
+    while stack:
+        candidates, current, weight = stack.pop()
         if not candidates:
-            candidate = tuple(current)
             if weight > best_weight or (
-                weight == best_weight and candidate < best_set
+                weight == best_weight and current < best_set
             ):
                 best_weight = weight
-                best_set = candidate
-            return
+                best_set = current
+            continue
         if weight + cover_bound(candidates) < best_weight - slack:
-            return
+            continue
         low = candidates & -candidates
         v = low.bit_length() - 1
-        current.append(v)
-        visit(candidates & ~adj[v] & ~low, current, weight + w[v])
-        current.pop()
-        visit(candidates ^ low, current, weight)
-
-    visit(sum(1 << v for v in allowed), [], 0.0)
+        stack.append((candidates ^ low, current, weight))
+        stack.append((candidates & ~adj[v] & ~low, current + (v,), weight + w[v]))
     return best_set, best_weight if best_weight >= 0 else 0.0
 
 
@@ -186,9 +186,8 @@ def eradication_cost(
         chosen = res.set
         exact = True
     else:
-        decomp = frobenius_decompose(model)
-        kept = list(decomp.remainder)
-        for atom in decomp.atoms:
+        _, _, atoms, kept = _atoms(model, 0.0)
+        for atom in atoms:
             sub_model, sub_cost = _atom_submodel(model, cost_fn, atom)
             sub = max_independent_set(sub_model, sub_cost, force=force)
             kept.extend(atom[j] for j in sub.set)

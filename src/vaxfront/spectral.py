@@ -2,15 +2,18 @@
 
 Two independent routes are kept deliberately:
 
-* ``spectral_radius`` reduces the matrix to its strongly connected blocks
-  (the radius of a nonnegative matrix is the maximum over the diagonal
-  blocks of its Frobenius form) and runs a shifted power iteration on each
-  irreducible block with ``s = 1 + max diagonal``.  The shift makes the
-  block primitive, defeating periodicity such as even cycles whose
+* ``spectral_radius`` condenses the support digraph into its strongly
+  connected blocks (the radius of a nonnegative matrix is the maximum over
+  the diagonal blocks of its Frobenius form) and takes each block's radius
+  with ``_block_radius``: dense QR up to ``_DENSE_CUTOFF`` groups, above it
+  a shifted power iteration with ``s = 1 + max diagonal``.  The shift makes
+  the block primitive, defeating periodicity such as even cycles whose
   peripheral spectrum contains ``-rho``, and the Collatz-Wielandt ratio
-  bracket then closes geometrically, certifying the result two-sided.
+  bracket then closes geometrically, certifying the result two-sided.  A
+  block whose bracket contracts too slowly to close within the iteration
+  cap leaves the loop early for dense QR.
 * ``full_spectrum`` reduces to Hessenberg form and runs shifted QR (LAPACK
-  via ``numpy.linalg.eigvals``); it serves as the dense fallback and as the
+  via ``numpy.linalg.eigvals``); it serves as the dense route and as the
   cross-check oracle in the tests.
 
 Exactly nilpotent input is recognized by a boolean cycle test on the
@@ -19,11 +22,12 @@ support, giving a radius of exactly zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._graph import tarjan_sccs
+from ._graph import support_components
 from .errors import (
     ComplexSpectrum,
     DimensionMismatch,
@@ -37,7 +41,8 @@ from .model import MetapopModel, Strategy
 POWER_ITERATION_CAP = 10_000
 _START_SEED = 20211215  # fixed start vector: results must not vary run-to-run
 _CW_RTOL = 1e-13
-_DENSE_CUTOFF = 48  # below this, LAPACK beats a Python-driven iteration
+_DENSE_CUTOFF = 48  # per block and per effective_re model: LAPACK wins up to here
+_STALL_CHECK = 64  # power iterations between two measures of the bracket
 
 CLUSTER_TOL = 1e-8  # times max(1, rho): QR backward-error scale
 ZERO_TOL = 1e-8  # times max(1, rho): threshold for signing eigenvalues
@@ -69,11 +74,11 @@ def _power_block(block: np.ndarray, cap: int = POWER_ITERATION_CAP) -> float | N
 
     Iterates x -> (B + sI) x for the scaled block B; for x > 0 the
     Collatz-Wielandt ratios bracket the radius on both sides, and on an
-    irreducible primitive block the bracket closes geometrically.
+    irreducible primitive block the bracket closes geometrically.  Every
+    ``_STALL_CHECK`` iterations, a bracket that would not close within the
+    cap at its contraction since the last checkpoint stalls at once.
     """
     n = block.shape[0]
-    if n == 1:
-        return float(block[0, 0])
     scale = block.max()
     work = block / scale
     shift = 1.0 + work.diagonal().max()
@@ -81,43 +86,46 @@ def _power_block(block: np.ndarray, cap: int = POWER_ITERATION_CAP) -> float | N
     rng = np.random.default_rng(_START_SEED)
     x = 0.5 + rng.random(n)
     x /= x.sum()
-    for _ in range(cap):
+    checked = None  # bracket width at the last checkpoint
+    for it in range(1, cap + 1):
         y = work @ x
         ratios = y / x
-        hi = float(ratios.max())
-        lo = float(ratios.min())
+        width = float(ratios.max()) - float(ratios.min())
         lam = float(y.sum())
         x = y / lam
-        if hi - lo <= max(_CW_RTOL * (lam - shift), 1e-15 * lam):
+        tol = max(_CW_RTOL * (lam - shift), 1e-15 * lam)
+        if width <= tol:
             return (lam - shift) * scale
+        if it % _STALL_CHECK == 0:
+            if checked is not None and _STALL_CHECK * math.log(width / tol) > (
+                cap - it
+            ) * math.log(checked / width):
+                return None
+            checked = width
     return None
 
 
-def spectral_radius(a: np.ndarray) -> float:
-    """Spectral radius of a nonnegative matrix, exactly 0 for nilpotent input.
-
-    The support digraph is condensed first; each strongly connected block is
-    solved by the shifted power iteration, falling back to the dense QR
-    spectrum if the two-sided bracket fails to close within the iteration
-    cap.
-    """
-    m = _validate_square(a, nonnegative=True)
-    n = m.shape[0]
-    above = m > 0
-    successors = tuple(
-        tuple(np.nonzero(above[:, j])[0].tolist()) for j in range(n)
-    )
-    rho = 0.0
-    for comp in tarjan_sccs(successors):
-        if len(comp) == 1:
-            rho = max(rho, float(m[comp[0], comp[0]]))
-            continue
-        block = m[np.ix_(comp, comp)]
+def _block_radius(block: np.ndarray) -> float:
+    """Spectral radius of an irreducible nonnegative block: its loop entry
+    for one group, dense QR up to ``_DENSE_CUTOFF`` groups, above it the
+    certified power route or, when that stalls, dense QR."""
+    n = block.shape[0]
+    if n == 1:
+        return float(block[0, 0])
+    if n > _DENSE_CUTOFF:
         value = _power_block(block)
-        if value is None:
-            value = _dense_radius(block)
-        rho = max(rho, value)
-    return rho
+        if value is not None:
+            return value
+    return _dense_radius(block)
+
+
+def spectral_radius(a: np.ndarray) -> float:
+    """Spectral radius of a nonnegative matrix, exactly 0 for nilpotent input:
+    the largest ``_block_radius`` over the strongly connected blocks of its
+    support."""
+    m = _validate_square(a, nonnegative=True)
+    _, sccs = support_components(m)
+    return max(_block_radius(m[np.ix_(comp, comp)]) for comp in sccs)
 
 
 def _support_nilpotent(mats: np.ndarray) -> np.ndarray:

@@ -14,20 +14,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._graph import condensation_topological, tarjan_sccs
+from ._graph import condensation_topological, support_components
 from .errors import NotDisconnecting, ValidationError
 from .model import CostFunction, MetapopModel, Strategy, cost
-from .spectral import effective_re, spectral_radius
+from .spectral import _block_radius, effective_re
 
 
 def support_digraph(model: MetapopModel, threshold: float = 0.0):
     """Successor lists of the support digraph: j -> i iff K[i, j] > threshold."""
-    if threshold < 0:
-        raise ValidationError("support threshold must be nonnegative")
-    above = model.matrix > threshold
-    return tuple(
-        tuple(np.nonzero(above[:, j])[0].tolist()) for j in range(model.n)
-    )
+    return support_components(model.matrix, threshold)[0]
+
+
+def _atoms(model: MetapopModel, threshold: float):
+    """One SCC pass and no radius: successor lists, components, atoms
+    (components of several groups or with a loop) and sorted remainder."""
+    successors, sccs = support_components(model.matrix, threshold)
+    k = model.matrix
+    is_atom = [len(comp) > 1 or k[comp[0], comp[0]] > threshold for comp in sccs]
+    atoms = [tuple(comp) for comp, a in zip(sccs, is_atom) if a]
+    remainder = sorted(comp[0] for comp, a in zip(sccs, is_atom) if not a)
+    return successors, sccs, atoms, remainder
 
 
 @dataclass(frozen=True)
@@ -53,33 +59,17 @@ def frobenius_decompose(
     A singleton strongly connected component is an atom only when its
     diagonal entry is positive; otherwise it is quasi-nilpotent remainder.
     """
-    successors = support_digraph(model, threshold)
-    sccs = tarjan_sccs(successors)
-    k = model.matrix
-
-    def is_atom(comp) -> bool:
-        if len(comp) > 1:
-            return True
-        i = comp[0]
-        return k[i, i] > threshold
-
-    atoms = [tuple(comp) for comp in sccs if is_atom(comp)]
-    remainder = sorted(
-        v for comp in sccs if not is_atom(comp) for v in comp
-    )
+    successors, sccs, atoms, remainder = _atoms(model, threshold)
     topo = condensation_topological(sccs, successors)
-    atom_pos = {tuple(sccs[ci]): None for ci in range(len(sccs))}
-    for pos, comp in enumerate(atoms):
-        atom_pos[comp] = pos
+    atom_pos = {comp: pos for pos, comp in enumerate(atoms)}
     # Infected-first precedence: reverse of the source-first topological order.
     order = [
         atom_pos[tuple(sccs[ci])]
         for ci in reversed(topo)
-        if atom_pos.get(tuple(sccs[ci])) is not None
+        if tuple(sccs[ci]) in atom_pos
     ]
-    radii = tuple(
-        float(spectral_radius(k[np.ix_(comp, comp)])) for comp in atoms
-    )
+    k = model.matrix
+    radii = tuple(_block_radius(k[np.ix_(comp, comp)]) for comp in atoms)
     return FrobeniusDecomposition(
         atoms=tuple(atoms),
         remainder=tuple(remainder),
@@ -125,39 +115,27 @@ class Classification:
     infected: tuple[int, ...] | None = None
 
 
-def _is_irreducible_submatrix(matrix: np.ndarray, threshold: float) -> bool:
-    n = matrix.shape[0]
-    if n == 0:
-        return False
-    above = matrix > threshold
-    successors = tuple(
-        tuple(np.nonzero(above[:, j])[0].tolist()) for j in range(n)
-    )
-    sccs = tarjan_sccs(successors)
-    if len(sccs) != 1:
-        return False
-    # Single zero node counts as reducible: it carries no transmission at all.
-    return n > 1 or matrix[0, 0] > threshold
-
-
 def classify(model: MetapopModel, threshold: float = 0.0) -> Classification:
-    """Irreducibility, quasi-irreducibility and monatomicity of the support."""
+    """Irreducibility, quasi-irreducibility and monatomicity, one SCC pass."""
     k = model.matrix
-    irreducible = _is_irreducible_submatrix(k, threshold)
+    n = model.n
+    successors, sccs, atoms, _ = _atoms(model, threshold)
+    irreducible = len(sccs) == 1 and (n > 1 or k[0, 0] > threshold)
+    # A group that is not live has no edge: it is a component of its own.
     live = np.where((k.sum(axis=0) + k.sum(axis=1)) > threshold)[0]
-    if live.size:
-        quasi = _is_irreducible_submatrix(k[np.ix_(live, live)], threshold)
-    else:
-        quasi = False
-    decomp = frobenius_decompose(model, threshold)
-    monatomic = len(decomp.atoms) == 1
+    quasi = (
+        live.size > 0
+        and len(sccs) - (n - live.size) == 1
+        and (live.size > 1 or k[live[0], live[0]] > threshold)
+    )
+    monatomic = len(atoms) == 1
     atom = infected = None
     if monatomic:
-        atom = decomp.atoms[0]
-        # Minimal invariant superset of the atom: its forward reachable set.
-        successors = support_digraph(model, threshold)
+        atom = atoms[0]
+        # Minimal invariant superset of the atom: its forward reachable set,
+        # which an irreducible support's one atom already is.
         seen = set(atom)
-        frontier = list(atom)
+        frontier = [] if irreducible else list(atom)
         while frontier:
             v = frontier.pop()
             for w in successors[v]:
@@ -166,8 +144,8 @@ def classify(model: MetapopModel, threshold: float = 0.0) -> Classification:
                     frontier.append(w)
         infected = tuple(sorted(seen - set(atom)))
     return Classification(
-        irreducible=irreducible,
-        quasi_irreducible=quasi,
+        irreducible=bool(irreducible),
+        quasi_irreducible=bool(quasi),
         monatomic=monatomic,
         atom=atom,
         infected=infected,
@@ -186,11 +164,7 @@ def is_disconnecting(
     if support.size == 0:
         return False
     sub = model.matrix[np.ix_(support, support)]
-    above = sub > threshold
-    successors = tuple(
-        tuple(np.nonzero(above[:, j])[0].tolist()) for j in range(support.size)
-    )
-    return len(tarjan_sccs(successors)) > 1
+    return len(support_components(sub, threshold)[1]) > 1
 
 
 @dataclass(frozen=True)
@@ -221,11 +195,7 @@ def cordon_improvement(
         raise NotDisconnecting("strategy does not disconnect the support")
     support = np.where(eta.values > 0)[0]
     sub = model.matrix[np.ix_(support, support)]
-    above = sub > threshold
-    successors = tuple(
-        tuple(np.nonzero(above[:, j])[0].tolist()) for j in range(support.size)
-    )
-    sccs = tarjan_sccs(successors)
+    successors, sccs = support_components(sub, threshold)
     topo = condensation_topological(sccs, successors)
     # First component in source-first order: nothing later can infect it.
     side_b = set(support[v] for v in sccs[topo[0]])

@@ -120,6 +120,16 @@ class TestDecompose:
         )
         assert len(json.loads(out)["atoms"]) == 2
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_non_finite_threshold_exit_2(self, capsys, two_block_path, threshold):
+        code, out, err = run(
+            capsys,
+            ["decompose", "--model", two_block_path, "--threshold", threshold],
+        )
+        assert code == 2
+        assert out == ""
+        assert "threshold" in err
+
 
 class TestClassify:
     def test_psd(self, capsys, tmp_path):
@@ -151,6 +161,23 @@ class TestCstar:
         assert doc["cstar"] == 0.5
         assert doc["set"] == [0, 2, 4, 6, 8, 10]
         assert doc["alpha"] == 0.5
+        assert doc["exact"] is True
+
+    def test_forced_search_on_1200_groups(self, capsys, tmp_path):
+        # One search level per group: deeper than the interpreter's
+        # default recursion limit.
+        from vaxfront import MetapopModel
+
+        n = 1200
+        path = tmp_path / "empty.json"
+        save_model(
+            MetapopModel(weights=np.full(n, 1.0 / n), matrix=np.zeros((n, n))),
+            str(path),
+        )
+        code, out, _ = run(capsys, ["cstar", "--model", str(path), "--force"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["set"] == list(range(n))
         assert doc["exact"] is True
 
 
@@ -211,6 +238,25 @@ class TestSample:
         assert first == second
         doc = json.loads(first)
         assert doc["config"] == {"samples": 25, "seed": 3}
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--samples", "5"],
+            ["frontier", "--plot-data", "--resolution", "2", "--samples", "5"],
+            ["classify", "--probe", "10"],
+        ],
+        ids=["sample", "frontier-plot-data", "classify-probe"],
+    )
+    def test_exit_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "saddle.json"
+        save_model(fixtures.counterexample_positive_spectrum(), str(path))
+        code, out, err = run(capsys, argv + ["--model", str(path), "--seed", "-1"])
+        assert code == 2
+        assert out == ""
+        assert "seed" in err
 
 
 class TestVerifyPaper:

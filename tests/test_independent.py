@@ -217,6 +217,14 @@ class TestExactSearch:
         result = max_independent_set(model, UNIFORM, force=True)
         assert result.set == tuple(range(0, 60, 2))
 
+    def test_forced_search_deeper_than_recursion_limit(self):
+        # The search descends one level per group, here 1,200 of them.
+        n = 1200
+        model = model_of(np.zeros((n, n)))
+        result = max_independent_set(model, UNIFORM, force=True)
+        assert result.set == tuple(range(n))
+        assert result.cstar == pytest.approx(0.0, abs=1e-12)
+
 
 class TestEradicationCost:
     def test_cycle_exact_half(self):

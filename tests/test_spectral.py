@@ -19,7 +19,7 @@ from vaxfront import (
 )
 from vaxfront import fixtures
 from vaxfront.acceptance import random_model, random_rank_one
-from vaxfront.spectral import radius_batch
+from vaxfront.spectral import _DENSE_CUTOFF, _power_block, radius_batch
 
 K_SADDLE = np.array([[16.0, 12.0, 11.0], [1.0, 12.0, 12.0], [8.0, 1.0, 1.0]])
 K_SINGLE = np.array([[9.0, 13.0, 14.0], [18.0, 6.0, 5.0], [1.0, 6.0, 6.0]])
@@ -304,3 +304,45 @@ class TestRouteAgreement:
             fast = effective_re(model, eta)
             certified = spectral_radius(model.effective_matrix(eta))
             assert abs(fast - certified) <= 1e-11 * max(1.0, certified)
+
+
+class _CountingMatrix(np.ndarray):
+    """Counts the matrix-vector products of the power loop."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        _CountingMatrix.products += 1
+        return np.asarray(self) @ other
+
+
+class TestPowerRoute:
+    """Blocks above the dense cutoff run the certified power iteration."""
+
+    @staticmethod
+    def strongly_connected(rng, n, density):
+        k = rng.random((n, n)) * (rng.random((n, n)) < density)
+        order = rng.permutation(n)
+        # A Hamiltonian cycle through every group makes the block irreducible.
+        k[order, np.roll(order, 1)] = 0.1 + rng.random(n)
+        return k
+
+    @pytest.mark.parametrize("density", [1.0, 0.05])
+    def test_matches_dense_above_cutoff(self, density):
+        rng = np.random.default_rng(16)
+        for _ in range(10):
+            n = int(rng.integers(50, 81))
+            assert n > _DENSE_CUTOFF
+            block = self.strongly_connected(rng, n, density)
+            dense = float(np.abs(np.linalg.eigvals(block)).max())
+            power = _power_block(block)
+            assert power is not None
+            assert abs(power - dense) <= 1e-11 * dense
+            assert spectral_radius(block) == power
+
+    def test_long_cycle_stalls_early(self):
+        block = fixtures.cycle_model(200).matrix
+        _CountingMatrix.products = 0
+        assert _power_block(block.view(_CountingMatrix)) is None
+        assert _CountingMatrix.products <= 600
+        assert spectral_radius(block) == pytest.approx(2.0, abs=2e-12)

@@ -14,12 +14,13 @@ from vaxfront import (
     effective_re,
     frobenius_decompose,
     full_spectrum,
+    has_symmetric_support,
     is_disconnecting,
     is_invariant,
     spectral_radius,
     support_digraph,
 )
-from vaxfront import fixtures
+from vaxfront import ValidationError, eradication_cost, fixtures, spectral, structure
 from vaxfront.acceptance import random_block_upper_model, random_model
 
 UNIFORM = CostFunction.uniform()
@@ -313,3 +314,88 @@ class TestDecompositionOnGeneralSparseMatrices:
                     matrix=sub,
                 )
                 assert classify(sub_model).irreducible
+
+
+def _closure(above):
+    """Reflexive transitive closure of a boolean adjacency matrix."""
+    reach = above | np.eye(above.shape[0], dtype=bool)
+    while True:
+        wider = reach | (reach.astype(int) @ reach.astype(int) > 0)
+        if np.array_equal(wider, reach):
+            return reach
+        reach = wider
+
+
+def _reference_flags(k, threshold):
+    """Classification flags by transitive closure: irreducibility of the
+    whole support and of the live groups, and the atom count."""
+
+    def irreducible(sub):
+        if sub.shape[0] == 0:
+            return False
+        return bool(_closure(sub > threshold).all()) and (
+            sub.shape[0] > 1 or sub[0, 0] > threshold
+        )
+
+    live = np.where((k.sum(axis=0) + k.sum(axis=1)) > threshold)[0]
+    reach = _closure(k > threshold)
+    mutual = reach & reach.T
+    components = {tuple(np.nonzero(row)[0]) for row in mutual}
+    atoms = [c for c in components if len(c) > 1 or k[c[0], c[0]] > threshold]
+    return [irreducible(k), irreducible(k[np.ix_(live, live)]), len(atoms) == 1]
+
+
+class TestRadiusFreeStructure:
+    @pytest.fixture()
+    def no_radius(self, monkeypatch):
+        def refuse(block):
+            raise AssertionError("a spectral radius was computed")
+
+        monkeypatch.setattr(spectral, "_block_radius", refuse)
+        monkeypatch.setattr(structure, "_block_radius", refuse)
+
+    def test_classify_flags_at_positive_thresholds(self, no_radius):
+        rng = np.random.default_rng(32)
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            k = rng.random((n, n)) * (rng.random((n, n)) < rng.random())
+            threshold = float(rng.choice([0.0, 0.2, 0.5]))
+            result = classify(model_of(k), threshold)
+            flags = [result.irreducible, result.quasi_irreducible, result.monatomic]
+            assert flags == _reference_flags(k, threshold)
+
+    def test_live_group_without_an_edge(self, no_radius):
+        # Group 1 is live by its row and column sums (0.4 > 0.3), but no
+        # single entry of it is above the threshold.
+        k = np.array([[0.5, 0.2], [0.2, 0.0]])
+        result = classify(model_of(k), 0.3)
+        flags = [result.irreducible, result.quasi_irreducible, result.monatomic]
+        assert flags == _reference_flags(k, 0.3) == [False, False, True]
+        assert result.atom == (0,)
+        assert result.infected == ()
+
+    def test_asymmetric_eradication(self, no_radius):
+        rng = np.random.default_rng(33)
+        for _ in range(20):
+            model, _ = random_block_upper_model(rng)
+            if has_symmetric_support(model):
+                continue
+            result = eradication_cost(model, UNIFORM)
+            assert not result.exact
+
+
+class TestThreshold:
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])
+    def test_every_entry_point_rejects(self, threshold):
+        model = fixtures.cycle_model()
+        eta = fixtures.one_in_four_strategy()
+        calls = [
+            lambda: support_digraph(model, threshold),
+            lambda: frobenius_decompose(model, threshold),
+            lambda: classify(model, threshold),
+            lambda: is_disconnecting(model, eta, threshold),
+            lambda: cordon_improvement(model, eta, UNIFORM, threshold),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match="threshold"):
+                call()
