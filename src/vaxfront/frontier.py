@@ -5,16 +5,21 @@ a halfspace w . eta >= b in the natural variables (w_i = coef_i mu_i,
 b = c_max - c).  The Pareto side minimizes R_e over it with projected
 gradient descent (eigenvector gradients, Armijo backtracking, exact
 projection onto box-and-halfspace); under a Convex verdict a single start is
-certified global, otherwise the best of 16 starts is an upper bound.  The
-anti-Pareto side maximizes R_e over {C(eta) >= c}: under a Convex verdict
-the maximum sits at a polytope vertex with at most one fractional
-coordinate, enumerated exactly up to 20 groups; otherwise the better of the
-enumeration and multi-start projected ascent is reported as a certified
-lower bound.
+certified global, otherwise the best of the multistarts (16 for a direct
+call, 8 per budget in a sweep) is an upper bound.  The anti-Pareto side
+maximizes R_e over {C(eta) >= c}: under a Convex verdict the maximum sits at
+a polytope vertex with at most one fractional coordinate, enumerated exactly
+up to 20 groups; otherwise the better of the enumeration and multi-start
+projected ascent is reported as a certified lower bound.
+
+Both sides share one budget check, one multistart loop and one monotone
+sweep, which warm-starts each budget from the previous point and keeps that
+point when a solve does worse.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,14 +36,7 @@ from .errors import (
 )
 from .independent import eradication_cost
 from .model import CostFunction, MetapopModel, Strategy, c_max, cost
-from .spectral import (
-    _DENSE_CUTOFF,
-    _dense_radius,
-    effective_re,
-    effective_re_batch,
-    re_gradient,
-    spectral_radius,
-)
+from .spectral import _matrix_re, effective_re, effective_re_batch, re_gradient
 from .structure import _atom_submodel, _atoms, frobenius_decompose
 
 ARMIJO_SHRINK = 0.5
@@ -52,32 +50,43 @@ _FD_STEP = 1e-6
 _BATCH = 65536
 
 
+def _unit_clip(a: np.ndarray) -> np.ndarray:
+    """np.clip(a, 0, 1) as two bare ufunc calls, without np.clip's wrappers."""
+    out = np.maximum(a, 0.0)
+    return np.minimum(out, 1.0, out=out)
+
+
 def _raise_to_budget(x: np.ndarray, w: np.ndarray, target: float) -> np.ndarray:
     """Projection onto {y in [0,1]^N : w . y >= target} when clip(x) violates it.
 
     The projection is clip(x + t w) for the smallest multiplier t >= 0 with
     w . clip(x + t w) = target; that value function is piecewise linear and
-    increasing in t, so t is found exactly by a breakpoint sweep.
+    increasing in t, so t is found exactly by a breakpoint sweep.  The
+    breakpoints are sorted and deduplicated inline rather than by np.unique,
+    whose call overhead shows at every Armijo trial.
     """
-    low_bp = -x / w
-    high_bp = (1.0 - x) / w
-    bps = np.concatenate([low_bp, high_bp, [0.0]])
-    bps = np.unique(bps[bps >= 0.0])
-    trial = np.clip(x[None, :] + bps[:, None] * w[None, :], 0.0, 1.0)
+    bps = np.concatenate((-x / w, (1.0 - x) / w, [0.0]))
+    bps = bps[bps >= 0.0]
+    bps.sort()
+    fresh = np.empty(bps.size, dtype=bool)
+    fresh[0] = True
+    np.not_equal(bps[1:], bps[:-1], out=fresh[1:])
+    bps = bps[fresh]
+    trial = _unit_clip(x + bps[:, None] * w)
     values = trial @ w
-    k = int(np.searchsorted(values, target, side="left"))
+    k = int(values.searchsorted(target))
     if k >= bps.size:
         return np.ones_like(x)
     if k == 0 or values[k] <= target:
         return trial[k]
     t_lo, t_hi = bps[k - 1], bps[k]
     probe = x + 0.5 * (t_lo + t_hi) * w
-    active = (probe > 0.0) & (probe < 1.0)
-    slope = float(w[active] @ w[active])
+    wa = w[(probe > 0.0) & (probe < 1.0)]
+    slope = float(wa @ wa)
     if slope <= 0.0:
         return trial[k]
     t = t_lo + (target - values[k - 1]) / slope
-    return np.clip(x + t * w, 0.0, 1.0)
+    return _unit_clip(x + t * w)
 
 
 def _project_budget(x: np.ndarray, w: np.ndarray, b: float, sense: str) -> np.ndarray:
@@ -86,7 +95,7 @@ def _project_budget(x: np.ndarray, w: np.ndarray, b: float, sense: str) -> np.nd
     ``sense='ge'`` projects onto {w . eta >= b}, ``'le'`` onto {w . eta <= b};
     the latter reduces to the former by the reflection eta -> 1 - eta.
     """
-    y = np.clip(x, 0.0, 1.0)
+    y = _unit_clip(x)
     value = float(w @ y)
     if sense == "ge":
         if value >= b:
@@ -98,22 +107,20 @@ def _project_budget(x: np.ndarray, w: np.ndarray, b: float, sense: str) -> np.nd
 
 
 def _fd_gradient(model: MetapopModel, eta: np.ndarray) -> np.ndarray:
-    """Central finite differences; fallback where the eigen-gradient fails."""
+    """Central finite differences; fallback where the eigen-gradient fails.
+    Probe 2j raises coordinate j by the step, probe 2j + 1 lowers it."""
     n = eta.size
-    probes = np.empty((2 * n, n))
-    for j in range(n):
-        up = eta.copy()
-        dn = eta.copy()
-        up[j] = min(1.0, eta[j] + _FD_STEP)
-        dn[j] = max(0.0, eta[j] - _FD_STEP)
-        probes[2 * j] = up
-        probes[2 * j + 1] = dn
+    cols = np.arange(n)
+    up = np.minimum(1.0, eta + _FD_STEP)
+    dn = np.maximum(0.0, eta - _FD_STEP)
+    probes = np.repeat(eta[None, :], 2 * n, axis=0)
+    probes[2 * cols, cols] = up
+    probes[2 * cols + 1, cols] = dn
     values = effective_re_batch(model, probes)
-    grad = np.empty(n)
-    for j in range(n):
-        h = probes[2 * j, j] - probes[2 * j + 1, j]
-        grad[j] = (values[2 * j] - values[2 * j + 1]) / h if h > 0 else 0.0
-    return grad
+    h = up - dn
+    return np.divide(
+        values[0::2] - values[1::2], h, out=np.zeros(n), where=h > 0
+    )
 
 
 def _gradient(model: MetapopModel, eta: np.ndarray, rng: np.random.Generator):
@@ -138,14 +145,6 @@ def _gradient(model: MetapopModel, eta: np.ndarray, rng: np.random.Generator):
         return _fd_gradient(model, eta), True
 
 
-def _loss_value(model: MetapopModel, x: np.ndarray) -> float:
-    """R_e without the Strategy wrapper, for the solver inner loops."""
-    effective = model.matrix * x
-    if model.n <= _DENSE_CUTOFF:
-        return _dense_radius(effective)
-    return spectral_radius(effective)
-
-
 def _pgd(model, project, x0, maximize, max_iter=PGD_ITERATION_CAP,
          window_tol=1e-9):
     """Projected gradient with Armijo backtracking; returns (value, point).
@@ -157,7 +156,7 @@ def _pgd(model, project, x0, maximize, max_iter=PGD_ITERATION_CAP,
     rng = np.random.default_rng(_STARTS_SEED + 1)
     sign = -1.0 if maximize else 1.0
     x = project(x0)
-    fx = _loss_value(model, x)
+    fx = _matrix_re(model.matrix * x)
     fallback_hits = 0
     window: list[float] = []
     last_step = None
@@ -188,7 +187,7 @@ def _pgd(model, project, x0, maximize, max_iter=PGD_ITERATION_CAP,
                 delta = candidate - x
                 if np.abs(delta).max() <= 1e-14:
                     break
-                fc = _loss_value(model, candidate)
+                fc = _matrix_re(model.matrix * candidate)
                 if sign * (fc - fx) <= ARMIJO_DECREASE * float(g @ delta):
                     x, fx = candidate, fc
                     improved = True
@@ -217,13 +216,35 @@ def _better(best, candidate, maximize):
         return True
     fb, xb = best
     fc, xc = candidate
-    if maximize:
-        if fc > fb:
-            return True
-        return fc == fb and _round_key(xc) < _round_key(xb)
-    if fc < fb:
+    sign = -1.0 if maximize else 1.0
+    if sign * fc < sign * fb:
         return True
     return fc == fb and _round_key(xc) < _round_key(xb)
+
+
+def _multistart(model, project, start_points, maximize, best, max_iter, window_tol):
+    """Run ``_pgd`` from each start and keep the ``_better`` of it and ``best``.
+
+    ``_pgd`` is deterministic, so a start with the same bytes as an earlier
+    one would repeat that run and lose the tie; it is skipped.  (The
+    eradication start and the zero start often project to the same point.)
+    The minimization stops at the first start that reaches zero loss.
+    """
+    seen = set()
+    for start in start_points:
+        key = start.tobytes()
+        if key in seen:
+            continue
+        seen.add(key)
+        candidate = _pgd(
+            model, project, start, maximize=maximize, max_iter=max_iter,
+            window_tol=window_tol,
+        )
+        if _better(best, candidate, maximize):
+            best = candidate
+        if not maximize and best[0] <= 1e-13:
+            break
+    return best
 
 
 @dataclass(frozen=True)
@@ -234,12 +255,23 @@ class OptimalPoint:
     status: str  # Converged | MultiStartBest | VertexEnumerated
 
 
+FrontierPoint = OptimalPoint
+
+
 def _min_starts(n: int, project, count: int = MULTISTARTS) -> list[np.ndarray]:
+    """The centre, all-ones and all-zeros starts, then seeded random ones."""
     rng = np.random.default_rng(_STARTS_SEED)
-    starts = [project(np.full(n, 0.5)), project(np.ones(n)), project(np.zeros(n))]
-    while len(starts) < count:
-        starts.append(project(rng.random(n)))
-    return starts[:count]
+    fixed = (np.full(n, 0.5), np.ones(n), np.zeros(n))
+    return [project(fixed[k] if k < 3 else rng.random(n)) for k in range(count)]
+
+
+def _budget(model: MetapopModel, cost_fn: CostFunction, c: float):
+    """``(c_max, w)`` with the halfspace normal w = coef * mu, for a budget c
+    in [0, c_max]; anything else, NaN included, raises ValidationError."""
+    cmax = c_max(cost_fn, model)
+    if not -1e-12 <= c <= cmax + 1e-9:
+        raise ValidationError(f"budget {c} outside [0, {cmax}]")
+    return cmax, cost_fn.coefficient_vector(model.n) * model.weights
 
 
 def optimal_loss(
@@ -258,50 +290,45 @@ def optimal_loss(
     (or Linear) verdict the single-start solution is the global optimum and
     is labelled Converged.
     """
-    n = model.n
-    cmax = c_max(cost_fn, model)
-    if c < -1e-12 or c > cmax + 1e-9:
-        raise ValidationError(f"budget {c} outside [0, {cmax}]")
-    w = cost_fn.coefficient_vector(n) * model.weights
-    b = cmax - c
-    if b <= 0:
-        zero = Strategy.zeros(n)
+    cmax, w = _budget(model, cost_fn, c)
+    if cmax - c <= 0:
+        zero = Strategy.zeros(model.n)
         return OptimalPoint(cost=c, loss=0.0, strategy=zero, status="Converged")
-
-    def project(x):
-        return _project_budget(x, w, b, "ge")
-
     if convex is None:
         verdict = classify_convexity(model).verdict
         convex = verdict in ("Convex", "Linear")
-    start_points = [project(np.asarray(s, dtype=float)) for s in extra_starts]
-    # The eradicating independent-set strategy is the one known point with
-    # loss exactly zero; when it fits the budget the solve is settled, and
-    # otherwise its projection is a strong start near the eradication end.
     try:
         erad = eradication_cost(model, cost_fn)
     except BudgetExceeded:
         erad = None
+    return _minimize(
+        model, w, cmax - c, c, convex, erad, extra_starts, starts, max_iter,
+        window_tol,
+    )
+
+
+def _minimize(model, w, b, c, convex, erad, extra_starts, starts, max_iter,
+              window_tol) -> OptimalPoint:
+    """``optimal_loss`` after its checks, on {w . eta >= b} with b > 0; ``erad``
+    is the model's eradication result, or None past the exact search cap."""
+
+    def project(x):
+        return _project_budget(x, w, b, "ge")
+
+    start_points = [project(np.asarray(s, dtype=float)) for s in extra_starts]
+    # The eradicating independent-set strategy is the one known point with
+    # loss exactly zero; when it fits the budget the solve is settled, and
+    # otherwise its projection is a strong start near the eradication end.
     if erad is not None:
         if erad.cstar <= c + 1e-15:
             return OptimalPoint(
                 cost=c, loss=0.0, strategy=erad.strategy, status="Converged"
             )
         start_points.append(project(erad.strategy.values))
-    if convex:
-        start_points += [project(np.full(n, 0.5))]
-    else:
-        start_points += _min_starts(n, project, starts)
-    best = None
-    for start in start_points:
-        fx, x = _pgd(
-            model, project, start, maximize=False, max_iter=max_iter,
-            window_tol=window_tol,
-        )
-        if _better(best, (fx, x), maximize=False):
-            best = (fx, x)
-        if best[0] <= 1e-13:
-            break
+    start_points += _min_starts(model.n, project, 1 if convex else starts)
+    best = _multistart(
+        model, project, start_points, False, None, max_iter, window_tol
+    )
     status = "Converged" if convex else "MultiStartBest"
     return OptimalPoint(
         cost=c, loss=float(best[0]), strategy=Strategy(best[1]), status=status
@@ -353,26 +380,13 @@ def _maximal_vertices(w: np.ndarray, budget: float):
 def _vertex_maximum(model, w, budget):
     """Best (loss, eta) over the maximal vertices of {w . eta <= budget}."""
     best = None
-    chunk: list[np.ndarray] = []
-
-    def flush(chunk):
-        nonlocal best
-        if not chunk:
-            return
+    vertices = _maximal_vertices(w, budget)
+    while chunk := list(itertools.islice(vertices, _BATCH)):
         values = effective_re_batch(model, np.array(chunk))
         for value, eta in zip(values, chunk):
             if _better(best, (float(value), eta), maximize=True):
                 best = (float(value), eta)
-
-    for eta in _maximal_vertices(w, budget):
-        chunk.append(eta)
-        if len(chunk) >= _BATCH:
-            flush(chunk)
-            chunk = []
-    flush(chunk)
-    if best is None:
-        best = (0.0, np.zeros(model.n))
-    return best
+    return best if best is not None else (0.0, np.zeros(model.n))
 
 
 def optimal_loss_max(
@@ -380,7 +394,6 @@ def optimal_loss_max(
     cost_fn: CostFunction,
     c: float,
     method: str = "auto",
-    force: bool = False,
     convex: bool | None = None,
     extra_starts: tuple[np.ndarray, ...] = (),
     starts: int = MULTISTARTS,
@@ -396,10 +409,10 @@ def optimal_loss_max(
     ascent seeded with the best vertex; the result is then a certified lower
     bound.  ``method='vertex'`` or ``'gradient'`` force one route.
     """
+    if method not in ("auto", "vertex", "gradient"):
+        raise ValidationError(f"unknown method {method!r}")
     n = model.n
-    cmax = c_max(cost_fn, model)
-    if c < -1e-12 or c > cmax + 1e-9:
-        raise ValidationError(f"budget {c} outside [0, {cmax}]")
+    cmax, w = _budget(model, cost_fn, c)
     if c <= 0:
         ones = Strategy.ones(n)
         return OptimalPoint(
@@ -408,26 +421,19 @@ def optimal_loss_max(
             strategy=ones,
             status="VertexEnumerated",
         )
-    w = cost_fn.coefficient_vector(n) * model.weights
     budget = cmax - c  # w . eta <= budget
-    if method not in ("auto", "vertex", "gradient"):
-        raise ValidationError(f"unknown method {method!r}")
     if method == "auto" and convex is None:
         convex = classify_convexity(model).verdict in ("Convex", "Linear")
 
-    use_vertex = method in ("auto", "vertex") and (n <= VERTEX_BUDGET or force)
-    if method == "vertex" and n > VERTEX_BUDGET and not force:
+    if method == "vertex" and n > VERTEX_BUDGET:
         raise BudgetExceeded(f"vertex enumeration capped at {VERTEX_BUDGET} groups")
-    use_gradient = method == "gradient" or (
-        method == "auto" and not (convex and use_vertex)
-    )
 
     best = None
-    if use_vertex:
+    if method != "gradient" and n <= VERTEX_BUDGET:
         best = _vertex_maximum(model, w, budget)
-        r0 = _loss_value(model, np.ones(n))
+        r0 = _matrix_re(model.matrix)
         plateau_hit = best[0] >= r0 - 1e-12 * max(1.0, r0)
-        if method == "vertex" or (method == "auto" and (convex or plateau_hit)):
+        if method == "vertex" or convex or plateau_hit:
             # Monotonicity bounds every feasible loss by R_0, so hitting it
             # certifies the enumeration even without convexity.
             return OptimalPoint(
@@ -437,33 +443,37 @@ def optimal_loss_max(
                 status="VertexEnumerated",
             )
 
-    if use_gradient:
+    def project(x):
+        return _project_budget(x, w, budget, "le")
 
-        def project(x):
-            return _project_budget(x, w, budget, "le")
-
-        start_points = [project(np.asarray(s, dtype=float)) for s in extra_starts]
-        if best is not None:
-            start_points.append(best[1])
-        start_points += _min_starts(n, project, starts)
-        for start in start_points:
-            fx, x = _pgd(
-                model, project, start, maximize=True, max_iter=max_iter,
-                window_tol=window_tol,
-            )
-            if _better(best, (fx, x), maximize=True):
-                best = (fx, x)
+    start_points = [project(np.asarray(s, dtype=float)) for s in extra_starts]
+    if best is not None:
+        start_points.append(best[1])
+    start_points += _min_starts(n, project, starts)
+    best = _multistart(model, project, start_points, True, best, max_iter, window_tol)
     return OptimalPoint(
         cost=c, loss=float(best[0]), strategy=Strategy(best[1]), status="MultiStartBest"
     )
 
 
-@dataclass(frozen=True)
-class FrontierPoint:
-    cost: float
-    loss: float
-    strategy: Strategy
-    status: str
+def _sweep(first: OptimalPoint, budgets, solve, maximize: bool) -> list[OptimalPoint]:
+    """Monotone frontier sweep from ``first`` through ``budgets``.
+
+    ``solve(c, extra_starts)`` is warm-started from the previous point; a
+    solve that does worse than that point keeps its loss and strategy.  A
+    minimizing sweep stops once the loss reaches ``LOSS_ZERO_TOL``.
+    """
+    sign = -1.0 if maximize else 1.0
+    points = [first]
+    for c in budgets:
+        previous = points[-1]
+        extra = (previous.strategy.values,) if len(points) > 1 else ()
+        solved = solve(c, extra)
+        source = solved if sign * solved.loss <= sign * previous.loss else previous
+        points.append(OptimalPoint(c, source.loss, source.strategy, solved.status))
+        if not maximize and source.loss <= LOSS_ZERO_TOL:
+            break
+    return points
 
 
 @dataclass(frozen=True)
@@ -510,7 +520,8 @@ def pareto_frontier(
 
     Exact endpoints (0, R_0) and (c_star, 0) are inserted from their
     closed-form sources; interior points are monotone by carrying each
-    optimum forward as a start for the next budget.
+    optimum forward as a start for the next budget.  The convexity verdict,
+    the eradication result and the budget halfspace are computed once.
     """
     if resolution < 2:
         raise ValidationError("resolution must be at least 2")
@@ -518,34 +529,26 @@ def pareto_frontier(
     verdict = classify_convexity(model).verdict
     convex = verdict in ("Convex", "Linear")
     erad = eradication_cost(model, cost_fn)
+    cmax, w = _budget(model, cost_fn, 0.0)
     r0 = effective_re(model, Strategy.ones(n))
-    points = [
-        FrontierPoint(0.0, r0, Strategy.ones(n), "Converged"),
-    ]
     cs = erad.cstar
-    previous = None
-    best_so_far = r0
-    for k in range(1, resolution):
-        c = cs * k / resolution
-        extra = (previous,) if previous is not None else ()
-        # Warm starts accumulate diversity along the sweep, so a reduced
-        # per-point start budget keeps the curve tight at a fraction of the
-        # standalone solve cost.
-        solved = optimal_loss(
-            model, cost_fn, c, convex=convex, extra_starts=extra,
-            starts=starts, max_iter=max_iter, window_tol=window_tol,
+
+    # Warm starts accumulate diversity along the sweep, so a reduced
+    # per-point start budget keeps the curve tight at a fraction of the
+    # standalone solve cost.
+    def solve(c, extra):
+        return _minimize(
+            model, w, cmax - c, c, convex, erad, extra, starts, max_iter,
+            window_tol,
         )
-        loss = min(solved.loss, best_so_far)
-        if solved.loss <= best_so_far:
-            strategy = solved.strategy
-        else:
-            strategy = points[-1].strategy
-        best_so_far = loss
-        points.append(FrontierPoint(c, loss, strategy, solved.status))
-        previous = strategy.values
-        if loss <= LOSS_ZERO_TOL:
-            break
-    points.append(FrontierPoint(cs, 0.0, erad.strategy, "Converged"))
+
+    points = _sweep(
+        OptimalPoint(0.0, r0, Strategy.ones(n), "Converged"),
+        [cs * k / resolution for k in range(1, resolution)],
+        solve,
+        maximize=False,
+    )
+    points.append(OptimalPoint(cs, 0.0, erad.strategy, "Converged"))
     return FrontierCurve(points=tuple(points), kind="Pareto", grid_resolution=resolution)
 
 
@@ -581,8 +584,6 @@ def anti_pareto_frontier(
     model: MetapopModel,
     cost_fn: CostFunction,
     resolution: int = 64,
-    method: str = "auto",
-    force: bool = False,
     starts: int = 8,
     max_iter: int = PGD_ITERATION_CAP,
     window_tol: float = 1e-9,
@@ -600,23 +601,24 @@ def anti_pareto_frontier(
     ceiling, top_strategy = _ceiling_with_witness(model, cost_fn)
     r0 = effective_re(model, Strategy.ones(n))
     convex = classify_convexity(model).verdict in ("Convex", "Linear")
-    tail = [FrontierPoint(cmax, 0.0, Strategy.zeros(n), "Converged")]
-    best_so_far = 0.0
-    previous = None
-    for k in range(resolution - 1, 0, -1):
-        c = ceiling + (cmax - ceiling) * k / resolution
-        extra = (previous,) if previous is not None else ()
-        solved = optimal_loss_max(
-            model, cost_fn, c, method=method, force=force, convex=convex,
-            extra_starts=extra, starts=starts, max_iter=max_iter,
-            window_tol=window_tol,
+
+    def solve(c, extra):
+        return optimal_loss_max(
+            model, cost_fn, c, convex=convex, extra_starts=extra, starts=starts,
+            max_iter=max_iter, window_tol=window_tol,
         )
-        loss = max(solved.loss, best_so_far)
-        strategy = solved.strategy if solved.loss >= best_so_far else tail[-1].strategy
-        best_so_far = loss
-        previous = strategy.values
-        tail.append(FrontierPoint(c, loss, strategy, solved.status))
-    tail.append(FrontierPoint(ceiling, r0, top_strategy, "Converged"))
+
+    budgets = [
+        ceiling + (cmax - ceiling) * k / resolution
+        for k in range(resolution - 1, 0, -1)
+    ]
+    tail = _sweep(
+        OptimalPoint(cmax, 0.0, Strategy.zeros(n), "Converged"),
+        budgets,
+        solve,
+        maximize=True,
+    )
+    tail.append(OptimalPoint(ceiling, r0, top_strategy, "Converged"))
     return FrontierCurve(
         points=tuple(reversed(tail)), kind="AntiPareto", grid_resolution=resolution
     )

@@ -34,7 +34,7 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _check_finite(a: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValidationError(f"{what} contains NaN or infinite entries")
 
 
@@ -118,7 +118,7 @@ class Strategy:
         if v.ndim != 1 or v.size == 0:
             raise ValidationError("strategy must be a non-empty vector")
         _check_finite(v, "strategy")
-        if np.any(v < 0) or np.any(v > 1):
+        if (v < 0).any() or (v > 1).any():
             raise ValidationError("strategy entries must lie in [0, 1]")
         object.__setattr__(self, "values", _as_readonly(v))
 

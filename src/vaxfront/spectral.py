@@ -139,28 +139,6 @@ def _support_nilpotent(mats: np.ndarray) -> np.ndarray:
     return ~reach.diagonal(axis1=-2, axis2=-1).any(axis=-1)
 
 
-def radius_batch(mats: np.ndarray) -> np.ndarray:
-    """Spectral radii of a (B, N, N) stack of nonnegative matrices.
-
-    Plumbing for the probe and solver hot paths: one batched QR spectrum
-    call, with exactly-nilpotent support zeroed out via the boolean cycle
-    test and a per-matrix fallback if the batched call fails.  The certified
-    iterative route remains ``spectral_radius``.
-    """
-    mats = np.asarray(mats, dtype=float)
-    if mats.ndim != 3:
-        raise ValidationError("expected a (B, N, N) stack")
-    b = mats.shape[0]
-    if b == 0:
-        return np.zeros(0)
-    try:
-        rho = np.abs(np.linalg.eigvals(mats)).max(axis=-1)
-    except np.linalg.LinAlgError:
-        rho = np.array([_dense_radius(m) for m in mats])
-    rho[_support_nilpotent(mats)] = 0.0
-    return rho
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """All eigenvalues of a matrix with clustered multiplicities.
@@ -235,6 +213,14 @@ def inertia(a: np.ndarray) -> tuple[int, int]:
     return spec.p_count, spec.n_count
 
 
+def _matrix_re(effective: np.ndarray) -> float:
+    """R_e of an effective matrix K . diag(eta): the route of ``effective_re``
+    for callers that already hold the matrix, such as the solver's inner loop."""
+    if effective.shape[0] <= _DENSE_CUTOFF:
+        return _dense_radius(effective)
+    return spectral_radius(effective)
+
+
 def effective_re(model: MetapopModel, eta: Strategy) -> float:
     """Effective reproduction number: spectral radius of K . diag(eta).
 
@@ -242,19 +228,26 @@ def effective_re(model: MetapopModel, eta: Strategy) -> float:
     the certified iterative route; the two agree to 1e-12 relative (standing
     cross-check in the tests).
     """
-    effective = model.effective_matrix(eta)
-    if model.n <= _DENSE_CUTOFF:
-        return _dense_radius(effective)
-    return spectral_radius(effective)
+    return _matrix_re(model.effective_matrix(eta))
 
 
 def effective_re_batch(model: MetapopModel, etas: np.ndarray) -> np.ndarray:
-    """R_e for each row of a (B, N) array of strategies."""
+    """R_e for each row of a (B, N) array of strategies.
+
+    One batched QR spectrum call, with exactly-nilpotent support zeroed out
+    via the boolean cycle test and a per-matrix fallback if the batched call
+    fails.  The certified iterative route remains ``spectral_radius``.
+    """
     etas = np.asarray(etas, dtype=float)
     if etas.ndim != 2 or etas.shape[1] != model.n:
         raise DimensionMismatch("etas must be a (B, N) array matching the model")
     mats = model.matrix[None, :, :] * etas[:, None, :]
-    return radius_batch(mats)
+    try:
+        rho = np.abs(np.linalg.eigvals(mats)).max(axis=-1)
+    except np.linalg.LinAlgError:
+        rho = np.array([_dense_radius(m) for m in mats])
+    rho[_support_nilpotent(mats)] = 0.0
+    return rho
 
 
 @dataclass(frozen=True)
@@ -296,6 +289,10 @@ def _real_eigenvector(matrix: np.ndarray, target: float) -> np.ndarray:
     return v / v.sum()
 
 
+def _residual(matrix: np.ndarray, vector: np.ndarray, value: float) -> float:
+    return np.abs(matrix @ vector - value * vector).max()
+
+
 def dominant_pair(model: MetapopModel, eta: Strategy) -> EigenPair:
     """Perron eigenpair of the effective matrix.
 
@@ -320,7 +317,7 @@ def dominant_pair(model: MetapopModel, eta: Strategy) -> EigenPair:
         raise NonSimple(
             "dominant eigenvalue is not simple within the 1e-8 gap threshold"
         )
-    idx = int(np.nonzero(close)[0][0])
+    idx = int(close.argmax())
     lam = float(values[idx].real)
     bound = RESIDUAL_TOL * max(lam, 1.0)
 
@@ -332,7 +329,8 @@ def dominant_pair(model: MetapopModel, eta: Strategy) -> EigenPair:
         v = sign * v
         if v.min() >= -1e-12 * v.max():
             scale = v.sum()
-            candidate = np.clip(v, 0.0, None) / np.clip(v, 0.0, None).sum()
+            kept = np.maximum(v, 0.0)
+            candidate = kept / kept.sum()
             try:
                 phi = np.linalg.inv(vectors)[idx]
             except np.linalg.LinAlgError:
@@ -340,22 +338,20 @@ def dominant_pair(model: MetapopModel, eta: Strategy) -> EigenPair:
             if phi is not None and np.abs(phi.imag).max() <= 1e-8 * np.abs(phi).max():
                 phi = sign * phi.real * scale
                 if phi.min() >= -1e-12 * max(phi.max(), 1e-300):
-                    phi = np.clip(phi, 0.0, None)
+                    phi = np.maximum(phi, 0.0)
                     denom = float(phi @ candidate)
                     if denom > 0:
                         right, left = candidate, phi / denom
 
-    if right is None or left is None:
+    if right is not None and _residual(effective, right, lam) > bound:
+        right = None
+    if right is None:
         right = _real_eigenvector(effective, lam)
         left = _real_eigenvector(effective.T, lam)
         left = left / float(left @ right)
-    if np.abs(effective @ right - lam * right).max() > bound:
-        right = _real_eigenvector(effective, lam)
-        left = _real_eigenvector(effective.T, lam)
-        left = left / float(left @ right)
-    if np.abs(effective @ right - lam * right).max() > bound:
-        raise NonConvergence("right eigenvector residual above tolerance")
-    if np.abs(effective.T @ left - lam * left).max() > bound:
+        if _residual(effective, right, lam) > bound:
+            raise NonConvergence("right eigenvector residual above tolerance")
+    if _residual(effective.T, left, lam) > bound:
         raise NonConvergence("left eigenvector residual above tolerance")
     return EigenPair(value=lam, right=right, left=left)
 

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vaxfront import (
     BudgetExceeded,
@@ -9,6 +12,7 @@ from vaxfront import (
     MetapopModel,
     PreconditionFailed,
     Strategy,
+    ValidationError,
     anti_pareto_frontier,
     assemble_reducible,
     c_max,
@@ -21,8 +25,9 @@ from vaxfront import (
     optimal_ray_check,
     pareto_frontier,
 )
-from vaxfront import fixtures
+from vaxfront import fixtures, frontier
 from vaxfront.acceptance import random_rank_one
+from vaxfront.frontier import _project_budget
 
 UNIFORM = CostFunction.uniform()
 
@@ -124,7 +129,122 @@ class TestOptimalLossMax:
         assert gradient.loss <= vertex.loss + 1e-9
 
 
+class TestBudgetCheck:
+    @pytest.mark.parametrize("solver", [optimal_loss, optimal_loss_max])
+    def test_nan_budget_rejected(self, solver):
+        with pytest.raises(ValidationError):
+            solver(fixtures.cycle_model(), UNIFORM, float("nan"))
+
+    def test_unknown_method_rejected_at_zero_budget(self):
+        with pytest.raises(ValidationError):
+            optimal_loss_max(fixtures.cycle_model(), UNIFORM, 0.0, method="bogus")
+
+
+def _polytope_vertices(w, b, sense):
+    """Every vertex of [0,1]^N cut by w . z >= b ('ge') or <= b ('le'): the
+    feasible 0/1 corners and the points of the hyperplane with one
+    fractional coordinate."""
+    n = w.size
+    corners = np.array(list(itertools.product((0.0, 1.0), repeat=n)))
+    values = corners @ w
+    vertices = [corners[values >= b if sense == "ge" else values <= b]]
+    for j in range(n):
+        rest = corners[corners[:, j] == 0.0]
+        zj = (b - rest @ w) / w[j]
+        inside = (zj > 0.0) & (zj < 1.0)
+        on_plane = rest[inside]
+        on_plane[:, j] = zj[inside]
+        vertices.append(on_plane)
+    return np.vstack(vertices)
+
+
+class TestProjectBudget:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 7),
+        sense=st.sampled_from(["ge", "le"]),
+        frac=st.floats(0.0, 1.0),
+    )
+    def test_euclidean_projection(self, data, n, sense, frac):
+        coords = st.lists(st.floats(-2.0, 3.0), min_size=n, max_size=n)
+        normals = st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n)
+        x = np.array(data.draw(coords))
+        w = np.array(data.draw(normals))
+        b = frac * float(w.sum())  # reachable for both senses
+        y = _project_budget(x, w, b, sense)
+        slack = 1e-9 * float(w.sum())
+        assert np.all((y >= 0.0) & (y <= 1.0))
+        if sense == "ge":
+            assert w @ y >= b - slack
+        else:
+            assert w @ y <= b + slack
+        # y is the Euclidean projection of x exactly when (x - y) . (z - y)
+        # <= 0 for every feasible z; the left side is linear in z, so the
+        # polytope's vertices cover every feasible z.
+        z = _polytope_vertices(w, b, sense)
+        scale = 1.0 + float(np.linalg.norm(x - y)) * math.sqrt(n)
+        assert np.max((z - y) @ (x - y)) <= 1e-9 * scale
+
+    @pytest.mark.parametrize(
+        "b, expected",
+        [
+            (4.0, [0.74, 0.74, 0.74, 0.04, 1.0, 0.74]),
+            (5.3, [1.0, 1.0, 1.0, 0.3, 1.0, 1.0]),
+        ],
+    )
+    def test_repeated_breakpoints(self, b, expected):
+        # Four coordinates share both of their breakpoints; the second budget
+        # lands exactly on the shared upper one.
+        x = np.array([0.2, 0.2, 0.2, -0.5, 1.5, 0.2])
+        y = _project_budget(x, np.ones(6), b, "ge")
+        np.testing.assert_allclose(y, expected, rtol=0.0, atol=1e-12)
+
+
+class TestMultistart:
+    @pytest.mark.parametrize("maximize", [False, True])
+    def test_repeated_start_runs_once(self, monkeypatch, maximize):
+        model = fixtures.cycle_model()
+        w = model.weights
+        # Both budgets sit short of eradication (cost 0.5), so the
+        # minimization does not stop at its first start.
+        sense, b = ("le", 0.3) if maximize else ("ge", 0.7)
+
+        def project(x):
+            return _project_budget(x, w, b, sense)
+
+        zero, centre = project(np.zeros(model.n)), project(np.full(model.n, 0.5))
+        args = (model, project)
+        distinct = frontier._multistart(*args, [zero, centre], maximize, None, 40, 1e-9)
+        runs = []
+        original = frontier._pgd
+
+        def counted(model, project, x0, **kw):
+            runs.append(x0)
+            return original(model, project, x0, **kw)
+
+        monkeypatch.setattr(frontier, "_pgd", counted)
+        repeated = frontier._multistart(
+            *args, [zero, centre, zero.copy(), centre.copy()], maximize, None, 40, 1e-9
+        )
+        assert len(runs) == 2
+        assert repeated[0] == distinct[0]
+        assert repeated[1].tobytes() == distinct[1].tobytes()
+
+
 class TestParetoFrontier:
+    def test_invariants_computed_once_per_sweep(self, monkeypatch):
+        calls = {"eradication_cost": 0, "classify_convexity": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _original=getattr(frontier, name), **kw):
+                calls[_name] += 1
+                return _original(*args, **kw)
+
+            monkeypatch.setattr(frontier, name, counted)
+        pareto_frontier(fixtures.cycle_model(), UNIFORM, resolution=8)
+        assert calls == {"eradication_cost": 1, "classify_convexity": 1}
+
     def test_scalar_segment(self):
         curve = pareto_frontier(scalar_model(3.0), UNIFORM, resolution=8)
         for point in curve.points:

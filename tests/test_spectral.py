@@ -19,7 +19,7 @@ from vaxfront import (
 )
 from vaxfront import fixtures
 from vaxfront.acceptance import random_model, random_rank_one
-from vaxfront.spectral import _DENSE_CUTOFF, _power_block, radius_batch
+from vaxfront.spectral import _DENSE_CUTOFF, _power_block
 
 K_SADDLE = np.array([[16.0, 12.0, 11.0], [1.0, 12.0, 12.0], [8.0, 1.0, 1.0]])
 K_SINGLE = np.array([[9.0, 13.0, 14.0], [18.0, 6.0, 5.0], [1.0, 6.0, 6.0]])
@@ -108,10 +108,12 @@ class TestEffectiveRe:
             assert batch[k] == pytest.approx(single, abs=1e-11 * max(1.0, single))
 
     def test_radius_batch_nilpotent_zero(self):
-        mats = np.zeros((9, 3, 3))
-        mats[:, 0, 1] = 1.0
-        mats[:, 1, 2] = 1.0
-        assert np.all(radius_batch(mats) == 0.0)
+        k = np.zeros((3, 3))
+        k[0, 1] = 1.0
+        k[1, 2] = 1.0
+        model = MetapopModel(weights=np.full(3, 1.0 / 3.0), matrix=k)
+        etas = np.random.default_rng(6).random((9, 3))
+        assert np.all(effective_re_batch(model, etas) == 0.0)
 
 
 class TestDominantPair:
