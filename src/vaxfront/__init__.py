@@ -12,7 +12,6 @@ from .convexity import (
     symmetrize,
 )
 from .errors import (
-    BudgetExceeded,
     ComplexSpectrum,
     DimensionMismatch,
     NonConvergence,
@@ -20,7 +19,6 @@ from .errors import (
     NotDisconnecting,
     ParseError,
     PreconditionFailed,
-    SolverStall,
     ValidationError,
     VaxfrontError,
     ZeroRadius,

@@ -263,13 +263,13 @@ def criterion_cordon_not_anti_pareto():
     failures = []
     model = fixtures.cycle_model()
     cordon = math.sqrt(2.0)
-    top = optimal_loss_max(model, UNIFORM, 0.25, method="vertex")
+    top = optimal_loss_max(model, UNIFORM, 0.25)
     _check(
         cordon < top.loss - 1e-3,
         failures,
-        f"vertex bound {top.loss} does not dominate sqrt(2)",
+        f"maximum {top.loss} does not dominate sqrt(2)",
     )
-    # Cross-check the enumeration against the coarse two-fractional family.
+    # Cross-check the maximum against the coarse two-fractional family.
     family = feasible_region_sample(model, UNIFORM, samples=1, seed=0)
     family_max = max(
         (loss for cst, loss in family if cst >= 0.25 - 1e-12), default=0.0
@@ -277,7 +277,7 @@ def criterion_cordon_not_anti_pareto():
     _check(
         top.loss >= family_max - 1e-9,
         failures,
-        f"enumeration {top.loss} below grid family {family_max}",
+        f"maximum {top.loss} below grid family {family_max}",
     )
     anti = anti_pareto_frontier(model, UNIFORM, resolution=64)
     at_cordon = anti.loss_at(0.25)

@@ -157,7 +157,7 @@ def cmd_classify(args) -> int:
 def cmd_cstar(args) -> int:
     model = _load_input(args)
     cost_fn = _parse_cost(args.cost)
-    result = eradication_cost(model, cost_fn, force=args.force)
+    result = eradication_cost(model, cost_fn)
     document = {
         "cstar": result.cstar,
         "set": list(result.set),
@@ -306,13 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("cstar", help="eradication cost via independent sets")
+    p = sub.add_parser("cstar", help="eradication cost via independent sets, or a bound")
     _add_model_arguments(p)
-    p.add_argument(
-        "--force",
-        action="store_true",
-        help="allow exact search beyond the 40-group budget",
-    )
     p.set_defaults(func=cmd_cstar)
 
     p = sub.add_parser("frontier", help="Pareto / anti-Pareto frontier sweep")

@@ -145,27 +145,22 @@ def classify_convexity(model: MetapopModel) -> ConvexityVerdict:
 def probe_convexity(model: MetapopModel, trials: int, seed: int) -> ConvexityVerdict:
     """Randomized search for convexity and concavity violations.
 
-    Each trial draws a pair of strategies from its own counter-derived
-    stream (deterministic under the master seed, and independent of any
-    execution order) and tests the chord gap at t in {0.25, 0.5, 0.75} or a
-    uniform draw, cycling by trial index.  Gaps above 1e-6 in absolute value
-    count as violations.
+    All trials draw from one generator seeded with ``seed``: first every
+    trial's eta0, then every eta1, then one uniform per trial.  Trial i tests
+    the chord gap at t = 0.25, 0.5, 0.75 for i mod 4 = 0, 1, 2, and at
+    t = 0.05 + 0.9 u from its uniform u for i mod 4 = 3.  Gaps above 1e-6 in
+    absolute value count as violations.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     if seed < 0:
         raise ValidationError("seed must be nonnegative")
-    n = model.n
-    eta0 = np.empty((trials, n))
-    eta1 = np.empty((trials, n))
-    ts = np.empty(trials)
-    fixed = (0.25, 0.5, 0.75)
-    for i in range(trials):
-        rng = np.random.default_rng([seed, i])
-        eta0[i] = rng.random(n)
-        eta1[i] = rng.random(n)
-        u = rng.random()
-        ts[i] = fixed[i % 4] if i % 4 < 3 else 0.05 + 0.9 * u
+    rng = np.random.default_rng(seed)
+    eta0 = rng.random((trials, model.n))
+    eta1 = rng.random((trials, model.n))
+    u = rng.random(trials)
+    phase = np.arange(trials) % 4
+    ts = np.where(phase < 3, (phase + 1) / 4.0, 0.05 + 0.9 * u)
     mid = ts[:, None] * eta0 + (1.0 - ts[:, None]) * eta1
     r0 = effective_re_batch(model, eta0)
     r1 = effective_re_batch(model, eta1)

@@ -37,13 +37,5 @@ class NotDisconnecting(VaxfrontError):
     """The strategy does not disconnect the surviving sub-population."""
 
 
-class BudgetExceeded(VaxfrontError):
-    """Exact search requested beyond the configured size budget."""
-
-
-class SolverStall(VaxfrontError):
-    """The constrained solver could not make progress from any start."""
-
-
 class PreconditionFailed(VaxfrontError):
     """A precondition of the requested analysis does not hold."""

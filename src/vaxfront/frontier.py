@@ -27,7 +27,6 @@ import numpy as np
 
 from .convexity import classify_convexity
 from .errors import (
-    BudgetExceeded,
     NonConvergence,
     NonSimple,
     PreconditionFailed,
@@ -297,10 +296,7 @@ def optimal_loss(
     if convex is None:
         verdict = classify_convexity(model).verdict
         convex = verdict in ("Convex", "Linear")
-    try:
-        erad = eradication_cost(model, cost_fn)
-    except BudgetExceeded:
-        erad = None
+    erad = eradication_cost(model, cost_fn)
     return _minimize(
         model, w, cmax - c, c, convex, erad, extra_starts, starts, max_iter,
         window_tol,
@@ -309,8 +305,7 @@ def optimal_loss(
 
 def _minimize(model, w, b, c, convex, erad, extra_starts, starts, max_iter,
               window_tol) -> OptimalPoint:
-    """``optimal_loss`` after its checks, on {w . eta >= b} with b > 0; ``erad``
-    is the model's eradication result, or None past the exact search cap."""
+    """``optimal_loss`` after its checks, on {w . eta >= b} with b > 0."""
 
     def project(x):
         return _project_budget(x, w, b, "ge")
@@ -319,12 +314,11 @@ def _minimize(model, w, b, c, convex, erad, extra_starts, starts, max_iter,
     # The eradicating independent-set strategy is the one known point with
     # loss exactly zero; when it fits the budget the solve is settled, and
     # otherwise its projection is a strong start near the eradication end.
-    if erad is not None:
-        if erad.cstar <= c + 1e-15:
-            return OptimalPoint(
-                cost=c, loss=0.0, strategy=erad.strategy, status="Converged"
-            )
-        start_points.append(project(erad.strategy.values))
+    if erad.cstar <= c + 1e-15:
+        return OptimalPoint(
+            cost=c, loss=0.0, strategy=erad.strategy, status="Converged"
+        )
+    start_points.append(project(erad.strategy.values))
     start_points += _min_starts(model.n, project, 1 if convex else starts)
     best = _multistart(
         model, project, start_points, False, None, max_iter, window_tol
@@ -393,7 +387,6 @@ def optimal_loss_max(
     model: MetapopModel,
     cost_fn: CostFunction,
     c: float,
-    method: str = "auto",
     convex: bool | None = None,
     extra_starts: tuple[np.ndarray, ...] = (),
     starts: int = MULTISTARTS,
@@ -405,12 +398,10 @@ def optimal_loss_max(
     Under a Convex verdict the maximum sits at an extreme point of the
     polytope, and vertex enumeration (at most one fractional coordinate) is
     exact.  Without convexity the maximum may sit inside the budget face, so
-    ``'auto'`` takes the better of the enumeration and multi-start projected
-    ascent seeded with the best vertex; the result is then a certified lower
-    bound.  ``method='vertex'`` or ``'gradient'`` force one route.
+    the result is the better of the enumeration (up to ``VERTEX_BUDGET``
+    groups) and multi-start projected ascent seeded with the best vertex, a
+    certified lower bound.
     """
-    if method not in ("auto", "vertex", "gradient"):
-        raise ValidationError(f"unknown method {method!r}")
     n = model.n
     cmax, w = _budget(model, cost_fn, c)
     if c <= 0:
@@ -422,18 +413,15 @@ def optimal_loss_max(
             status="VertexEnumerated",
         )
     budget = cmax - c  # w . eta <= budget
-    if method == "auto" and convex is None:
+    if convex is None:
         convex = classify_convexity(model).verdict in ("Convex", "Linear")
 
-    if method == "vertex" and n > VERTEX_BUDGET:
-        raise BudgetExceeded(f"vertex enumeration capped at {VERTEX_BUDGET} groups")
-
     best = None
-    if method != "gradient" and n <= VERTEX_BUDGET:
+    if n <= VERTEX_BUDGET:
         best = _vertex_maximum(model, w, budget)
         r0 = _matrix_re(model.matrix)
         plateau_hit = best[0] >= r0 - 1e-12 * max(1.0, r0)
-        if method == "vertex" or convex or plateau_hit:
+        if convex or plateau_hit:
             # Monotonicity bounds every feasible loss by R_0, so hitting it
             # certifies the enumeration even without convexity.
             return OptimalPoint(
@@ -518,10 +506,11 @@ def pareto_frontier(
 ) -> FrontierCurve:
     """Sweep budgets over [0, c_star], warm-starting each solve.
 
-    Exact endpoints (0, R_0) and (c_star, 0) are inserted from their
-    closed-form sources; interior points are monotone by carrying each
-    optimum forward as a start for the next budget.  The convexity verdict,
-    the eradication result and the budget halfspace are computed once.
+    Endpoints (0, R_0) and (c_star, 0) are inserted from their closed-form
+    sources, the second labelled MultiStartBest when c_star is only an upper
+    bound; interior points are monotone by carrying each optimum forward as
+    a start for the next budget.  The convexity verdict, the eradication
+    result and the budget halfspace are computed once.
     """
     if resolution < 2:
         raise ValidationError("resolution must be at least 2")
@@ -548,7 +537,8 @@ def pareto_frontier(
         solve,
         maximize=False,
     )
-    points.append(OptimalPoint(cs, 0.0, erad.strategy, "Converged"))
+    status = "Converged" if erad.exact else "MultiStartBest"
+    points.append(OptimalPoint(cs, 0.0, erad.strategy, status))
     return FrontierCurve(points=tuple(points), kind="Pareto", grid_resolution=resolution)
 
 

@@ -13,7 +13,9 @@ lowest-index candidate, pruned by a greedy weighted clique cover of the
 candidates (an independent set takes at most one vertex per clique; see
 Ostergard 2002, "A fast algorithm for the maximum clique problem", for the
 colouring form of the same bound).  Among the sets of maximal weight, summed
-in ascending index order, it returns the lexicographically smallest.
+in ascending index order, it returns the lexicographically smallest.  A
+search stopped at ``SEARCH_NODE_BUDGET`` nodes returns its best set so far,
+flagged ``exact=False``: still independent, so an eradicating upper bound.
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, ValidationError
+from .errors import ValidationError
 from .model import CostFunction, MetapopModel, Strategy, c_max, cost
 from .spectral import effective_re
 from .structure import _atom_submodel, _atoms
 
-EXACT_SEARCH_BUDGET = 40
+SEARCH_NODE_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -36,26 +38,26 @@ class IndependentSetResult:
 
     ``alpha`` is the saved cost c_max - C(1_A) (the weighted independence
     number; plain mu(A) for the uniform cost) and ``cstar`` the cost C(1_A)
-    of vaccinating everybody else.
+    of vaccinating everybody else.  ``exact`` is False when the search
+    stopped at the node budget before proving the set maximal.
     """
 
     set: tuple[int, ...]
     alpha: float
     cstar: float
     weight: float
+    exact: bool
 
 
 def _conflict_graph(matrix: np.ndarray):
-    n = matrix.shape[0]
-    allowed = [i for i in range(n) if matrix[i, i] == 0]
-    adjacent = (matrix > 0) | (matrix.T > 0)
-    masks = {}
-    for i in allowed:
-        m = 0
-        for j in allowed:
-            if j != i and adjacent[i, j]:
-                m |= 1 << j
-        masks[i] = m
+    allowed_mask = np.diagonal(matrix) == 0
+    allowed = np.flatnonzero(allowed_mask).tolist()
+    adjacent = ((matrix > 0) | (matrix.T > 0)) & allowed_mask
+    np.fill_diagonal(adjacent, False)
+    rows = np.packbits(adjacent[allowed], axis=1, bitorder="little")
+    masks = {
+        i: int.from_bytes(row.tobytes(), "little") for i, row in zip(allowed, rows)
+    }
     return allowed, masks
 
 
@@ -73,7 +75,9 @@ def _mwis_branch_and_bound(allowed, adj, weights):
     its bound lies below the best weight by more than a relative slack of
     1e-12 (total weight + 1), far above the rounding of either sum, so every
     set of maximal weight is reached.  The result is the lexicographically
-    smallest of them (as a sorted index tuple) and its weight.
+    smallest of them (as a sorted index tuple), its weight, and whether the
+    search finished within ``SEARCH_NODE_BUDGET`` nodes; if it did not, the
+    set is the best one found so far.
     """
     w = [float(x) for x in weights]
     slack = 1e-12 * (sum(w) + 1.0)
@@ -106,7 +110,9 @@ def _mwis_branch_and_bound(allowed, adj, weights):
     # interpreter's recursion limit.  The include branch is pushed last and
     # so explored first, and a node's bound is taken when it is popped.
     stack = [(sum(1 << v for v in allowed), (), 0.0)]
-    while stack:
+    nodes_left = SEARCH_NODE_BUDGET
+    while stack and nodes_left:
+        nodes_left -= 1
         candidates, current, weight = stack.pop()
         if not candidates:
             if weight > best_weight or (
@@ -121,32 +127,29 @@ def _mwis_branch_and_bound(allowed, adj, weights):
         v = low.bit_length() - 1
         stack.append((candidates ^ low, current, weight))
         stack.append((candidates & ~adj[v] & ~low, current + (v,), weight + w[v]))
-    return best_set, best_weight if best_weight >= 0 else 0.0
+    return best_set, best_weight if best_weight >= 0 else 0.0, not stack
 
 
 def max_independent_set(
-    model: MetapopModel, cost_fn: CostFunction, force: bool = False
+    model: MetapopModel, cost_fn: CostFunction
 ) -> IndependentSetResult:
-    """Exact maximum-weight independent set of the kernel support.
+    """Maximum-weight independent set of the kernel support.
 
     Vertex weights are coef_i * mu_i; groups with K_ii > 0 are excluded
     outright.  Ties between sets of equal weight go to the lexicographically
-    smallest index tuple.  Models beyond 40 groups are refused unless
-    ``force`` is set.
+    smallest index tuple.  The set is proved maximal (``exact``) unless the
+    search stops at ``SEARCH_NODE_BUDGET`` nodes.
     """
-    if model.n > EXACT_SEARCH_BUDGET and not force:
-        raise BudgetExceeded(
-            f"exact search capped at {EXACT_SEARCH_BUDGET} groups; pass force=True"
-        )
     coef = cost_fn.coefficient_vector(model.n)
     weights = coef * model.weights
     allowed, adj = _conflict_graph(model.matrix)
-    best_set, weight = _mwis_branch_and_bound(allowed, adj, weights)
+    best_set, weight, exact = _mwis_branch_and_bound(allowed, adj, weights)
     strategy = Strategy.indicator(model.n, best_set)
     cstar = cost(cost_fn, model, strategy)
     alpha = c_max(cost_fn, model) - cstar
     return IndependentSetResult(
-        set=tuple(sorted(best_set)), alpha=alpha, cstar=cstar, weight=float(weight)
+        set=tuple(sorted(best_set)), alpha=alpha, cstar=cstar, weight=float(weight),
+        exact=exact,
     )
 
 
@@ -155,8 +158,8 @@ class EradicationResult:
     """Cheapest (or cheapest-known) strategy with R_e = 0.
 
     ``exact`` is True only when the support is symmetric, where the
-    independent-set characterization of the eradication cost applies;
-    otherwise ``cstar`` is an upper bound.
+    independent-set characterization of the eradication cost applies, and
+    the search proved its set maximal; otherwise ``cstar`` is an upper bound.
     """
 
     cstar: float
@@ -171,25 +174,24 @@ def has_symmetric_support(model: MetapopModel) -> bool:
     return bool(np.array_equal(pos, pos.T))
 
 
-def eradication_cost(
-    model: MetapopModel, cost_fn: CostFunction, force: bool = False
-) -> EradicationResult:
+def eradication_cost(model: MetapopModel, cost_fn: CostFunction) -> EradicationResult:
     """Minimal vaccination cost that completely stops transmission.
 
     Symmetric support: exact, equal to C(1_A) for a cost-maximal independent
-    set A.  Asymmetric support: upper bound from leaving the quasi-nilpotent
-    remainder plus per-atom independent sets non-vaccinated, flagged
+    set A, unless the search stops at its node budget.  Asymmetric support:
+    upper bound from leaving the quasi-nilpotent remainder plus per-atom
+    independent sets non-vaccinated.  Every upper bound is flagged
     ``exact=False``.
     """
     if has_symmetric_support(model):
-        res = max_independent_set(model, cost_fn, force=force)
+        res = max_independent_set(model, cost_fn)
         chosen = res.set
-        exact = True
+        exact = res.exact
     else:
         _, _, atoms, kept = _atoms(model, 0.0)
         for atom in atoms:
             sub_model, sub_cost = _atom_submodel(model, cost_fn, atom)
-            sub = max_independent_set(sub_model, sub_cost, force=force)
+            sub = max_independent_set(sub_model, sub_cost)
             kept.extend(atom[j] for j in sub.set)
         chosen = tuple(sorted(kept))
         exact = False

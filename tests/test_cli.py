@@ -163,7 +163,7 @@ class TestCstar:
         assert doc["alpha"] == 0.5
         assert doc["exact"] is True
 
-    def test_forced_search_on_1200_groups(self, capsys, tmp_path):
+    def test_search_on_1200_groups(self, capsys, tmp_path):
         # One search level per group: deeper than the interpreter's
         # default recursion limit.
         from vaxfront import MetapopModel
@@ -174,7 +174,7 @@ class TestCstar:
             MetapopModel(weights=np.full(n, 1.0 / n), matrix=np.zeros((n, n))),
             str(path),
         )
-        code, out, _ = run(capsys, ["cstar", "--model", str(path), "--force"])
+        code, out, _ = run(capsys, ["cstar", "--model", str(path)])
         assert code == 0
         doc = json.loads(out)
         assert doc["set"] == list(range(n))
@@ -182,6 +182,18 @@ class TestCstar:
 
 
 class TestFrontier:
+    def test_past_forty_groups(self, capsys, tmp_path):
+        from vaxfront.acceptance import random_convex_model
+
+        path = tmp_path / "convex41.json"
+        save_model(random_convex_model(np.random.default_rng(0), 41), str(path))
+        code, out, _ = run(
+            capsys, ["frontier", "--model", str(path), "--resolution", "2"]
+        )
+        assert code == 0
+        kinds = [line.split(",")[0] for line in out.strip().splitlines()[1:]]
+        assert kinds.count("pareto") == 3
+
     def test_csv_schema(self, capsys, two_block_path, tmp_path):
         out_path = tmp_path / "curve.csv"
         code, _, _ = run(

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vaxfront import (
-    BudgetExceeded,
     CostFunction,
     MetapopModel,
     PreconditionFailed,
@@ -26,8 +25,8 @@ from vaxfront import (
     pareto_frontier,
 )
 from vaxfront import fixtures, frontier
-from vaxfront.acceptance import random_rank_one
-from vaxfront.frontier import _project_budget
+from vaxfront.acceptance import random_convex_model, random_rank_one
+from vaxfront.frontier import _project_budget, _vertex_maximum
 
 UNIFORM = CostFunction.uniform()
 
@@ -47,6 +46,11 @@ class TestOptimalLoss:
     def test_cycle_eradication_budget(self):
         solved = optimal_loss(fixtures.cycle_model(), UNIFORM, 0.5)
         assert solved.loss <= 1e-8
+
+    def test_cycle_past_forty_groups_settles_at_zero(self):
+        solved = optimal_loss(fixtures.cycle_model(44), UNIFORM, 0.5)
+        assert solved.loss == 0.0
+        assert solved.status == "Converged"
 
     def test_cycle_quarter_budget_beats_cordon(self):
         solved = optimal_loss(fixtures.cycle_model(), UNIFORM, 0.25)
@@ -109,24 +113,30 @@ class TestOptimalLossMax:
         assert solved.strategy.values[0] == pytest.approx(1.0)
 
     def test_cycle_quarter_is_path_of_nine(self):
-        solved = optimal_loss_max(fixtures.cycle_model(), UNIFORM, 0.25, method="vertex")
+        solved = optimal_loss_max(fixtures.cycle_model(), UNIFORM, 0.25)
         assert solved.loss == pytest.approx(2.0 * math.cos(math.pi / 10.0), abs=1e-9)
 
-    def test_vertex_budget(self):
+    def test_vertex_budget(self, monkeypatch):
         rng = np.random.default_rng(52)
         w = 0.2 + rng.random(21)
         w /= math.fsum(w.tolist())
         model = MetapopModel(weights=w, matrix=rng.random((21, 21)))
-        with pytest.raises(BudgetExceeded):
-            optimal_loss_max(model, UNIFORM, 0.3, method="vertex")
-        solved = optimal_loss_max(model, UNIFORM, 0.3, method="gradient")
+
+        def refuse(*args):
+            raise AssertionError("21 groups must skip the vertex enumeration")
+
+        monkeypatch.setattr(frontier, "_vertex_maximum", refuse)
+        solved = optimal_loss_max(model, UNIFORM, 0.3)
         assert solved.status == "MultiStartBest"
 
     def test_gradient_lower_bounds_vertex(self):
+        # The ascent starts from the best vertex, so it cannot fall below
+        # it; on the cycle it finds nothing above it either.
         model = fixtures.cycle_model()
-        vertex = optimal_loss_max(model, UNIFORM, 0.25, method="vertex")
-        gradient = optimal_loss_max(model, UNIFORM, 0.25, method="gradient")
-        assert gradient.loss <= vertex.loss + 1e-9
+        w = UNIFORM.coefficient_vector(12) * model.weights
+        vertex_loss, _ = _vertex_maximum(model, w, 0.75)
+        solved = optimal_loss_max(model, UNIFORM, 0.25)
+        assert vertex_loss <= solved.loss <= vertex_loss + 1e-9
 
 
 class TestBudgetCheck:
@@ -134,10 +144,6 @@ class TestBudgetCheck:
     def test_nan_budget_rejected(self, solver):
         with pytest.raises(ValidationError):
             solver(fixtures.cycle_model(), UNIFORM, float("nan"))
-
-    def test_unknown_method_rejected_at_zero_budget(self):
-        with pytest.raises(ValidationError):
-            optimal_loss_max(fixtures.cycle_model(), UNIFORM, 0.0, method="bogus")
 
 
 def _polytope_vertices(w, b, sense):
@@ -257,6 +263,22 @@ class TestParetoFrontier:
         assert curve.points[-1].cost == 0.5
         assert curve.points[-1].loss == 0.0
         assert curve.loss_at(0.25) < math.sqrt(2.0) - 0.04
+        assert curve.points[-1].status == "Converged"
+
+    def test_upper_bound_endpoint_status(self):
+        # Asymmetric support: c_star is an upper bound, not a proved optimum.
+        model = MetapopModel(
+            weights=np.array([0.5, 0.5]), matrix=np.array([[0.0, 1.0], [0.0, 2.0]])
+        )
+        curve = pareto_frontier(model, UNIFORM, resolution=4)
+        assert curve.points[-1].loss == 0.0
+        assert curve.points[-1].status == "MultiStartBest"
+
+    def test_past_forty_groups(self):
+        model = random_convex_model(np.random.default_rng(0), 41)
+        curve = pareto_frontier(model, UNIFORM, resolution=2)
+        assert len(curve.points) == 3
+        assert curve.points[-1].status == "Converged"
 
     def test_monotone(self):
         curve = pareto_frontier(fixtures.cycle_model(), UNIFORM, resolution=16)
@@ -509,7 +531,7 @@ class TestMaximizerDominance:
             w /= math.fsum(w.tolist())
             model = MetapopModel(weights=w, matrix=rng.random((n, n)) * 2.0)
             c = float(rng.uniform(0.1, 0.8)) * c_max(UNIFORM, model)
-            top = optimal_loss_max(model, UNIFORM, c, method="auto")
+            top = optimal_loss_max(model, UNIFORM, c)
             etas = rng.random((4000, n))
             costs = (1.0 - etas) @ (w)
             feasible = etas[costs >= c - 1e-12]
@@ -529,7 +551,7 @@ class TestMaximizerDominance:
             n = int(rng.integers(2, 6))
             model = random_convex_model(rng, n)
             c = float(rng.uniform(0.1, 0.8)) * c_max(UNIFORM, model)
-            top = optimal_loss_max(model, UNIFORM, c, method="vertex")
+            top = optimal_loss_max(model, UNIFORM, c)
             assert top.status == "VertexEnumerated"
             etas = rng.random((4000, n))
             w = UNIFORM.coefficient_vector(n) * model.weights

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vaxfront import (
-    BudgetExceeded,
     CostFunction,
     MetapopModel,
     Strategy,
@@ -17,7 +16,7 @@ from vaxfront import (
     has_symmetric_support,
     max_independent_set,
 )
-from vaxfront import fixtures
+from vaxfront import fixtures, independent
 from vaxfront.acceptance import brute_force_mwis, random_model
 
 UNIFORM = CostFunction.uniform()
@@ -59,10 +58,9 @@ class TestMaxIndependentSet:
 
     def test_budget(self):
         model = model_of(np.zeros((41, 41)), weights=np.full(41, 1.0 / 41))
-        with pytest.raises(BudgetExceeded):
-            max_independent_set(model, UNIFORM)
-        forced = max_independent_set(model, UNIFORM, force=True)
-        assert len(forced.set) == 41
+        result = max_independent_set(model, UNIFORM)
+        assert result.exact
+        assert len(result.set) == 41
 
     def test_support_only_dependence(self):
         rng = np.random.default_rng(41)
@@ -210,20 +208,47 @@ class TestExactSearch:
         result = max_independent_set(model, UNIFORM)
         assert result.set == expected
 
-    def test_forced_cycle_beyond_the_cap(self):
-        model = fixtures.cycle_model(60)
-        with pytest.raises(BudgetExceeded):
-            max_independent_set(model, UNIFORM)
-        result = max_independent_set(model, UNIFORM, force=True)
+    def test_cycle_beyond_forty_groups(self):
+        result = max_independent_set(fixtures.cycle_model(60), UNIFORM)
+        assert result.exact
         assert result.set == tuple(range(0, 60, 2))
 
-    def test_forced_search_deeper_than_recursion_limit(self):
+    def test_search_deeper_than_recursion_limit(self):
         # The search descends one level per group, here 1,200 of them.
         n = 1200
         model = model_of(np.zeros((n, n)))
-        result = max_independent_set(model, UNIFORM, force=True)
+        result = max_independent_set(model, UNIFORM)
+        assert result.exact
         assert result.set == tuple(range(n))
         assert result.cstar == pytest.approx(0.0, abs=1e-12)
+
+    def test_node_budget_gives_an_eradicating_upper_bound(self, monkeypatch):
+        # The 40-group ring2 search needs 573 nodes to finish.
+        model = model_of(ring2_matrix(40))
+        proved = eradication_cost(model, UNIFORM)
+        assert proved.exact
+        monkeypatch.setattr(independent, "SEARCH_NODE_BUDGET", 100)
+        stopped = max_independent_set(model, UNIFORM)
+        assert not stopped.exact
+        assert not model.matrix[np.ix_(stopped.set, stopped.set)].any()
+        bound = eradication_cost(model, UNIFORM)
+        assert not bound.exact
+        assert bound.cstar >= proved.cstar
+        assert effective_re(model, bound.strategy) <= 1e-10
+
+    def test_conflict_graph_matches_pair_loop(self):
+        rng = np.random.default_rng(44)
+        for _ in range(100):
+            n = int(rng.integers(1, 70))
+            matrix = (rng.random((n, n)) < rng.random()) * rng.random((n, n))
+            allowed = [i for i in range(n) if matrix[i, i] == 0]
+            masks = {}
+            for i in allowed:
+                masks[i] = 0
+                for j in allowed:
+                    if j != i and (matrix[i, j] > 0 or matrix[j, i] > 0):
+                        masks[i] |= 1 << j
+            assert independent._conflict_graph(matrix) == (allowed, masks)
 
 
 class TestEradicationCost:
