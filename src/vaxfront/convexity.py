@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComplexSpectrum, ValidationError
+from .errors import ValidationError
 from .model import MetapopModel
 from .spectral import effective_re_batch, inertia, spectral_radius
 
@@ -122,10 +122,7 @@ def classify_convexity(model: MetapopModel) -> ConvexityVerdict:
     sym = symmetrize(model)
     if sym.symmetrizable:
         m = sym.symmetrized
-        try:
-            p, neg = inertia(0.5 * (m + m.T))
-        except ComplexSpectrum:
-            p, neg = inertia(m)
+        p, neg = inertia(0.5 * (m + m.T))
         if neg == 0 and p <= 1:
             return ConvexityVerdict(
                 "Linear", "ConfigurationRankOne", (p, neg), sym

@@ -27,6 +27,7 @@ import numpy as np
 
 from .convexity import classify_convexity
 from .errors import (
+    DimensionMismatch,
     NonConvergence,
     NonSimple,
     PreconditionFailed,
@@ -34,7 +35,7 @@ from .errors import (
     ZeroRadius,
 )
 from .independent import eradication_cost
-from .model import CostFunction, MetapopModel, Strategy, c_max, cost
+from .model import CostFunction, MetapopModel, Strategy, _is_int, c_max, cost
 from .spectral import _matrix_re, effective_re, effective_re_batch, re_gradient
 from .structure import _atom_submodel, _atoms, frobenius_decompose
 
@@ -122,37 +123,17 @@ def _fd_gradient(model: MetapopModel, eta: np.ndarray) -> np.ndarray:
     )
 
 
-def _gradient(model: MetapopModel, eta: np.ndarray, rng: np.random.Generator):
-    """Eigen-gradient with perturb-retry and finite-difference fallbacks.
-
-    Returns ``(grad, used_fallback)``; the gradient is None exactly when the
-    radius is zero, where the minimization has nothing left to improve.
-    """
-    try:
-        return re_gradient(model, Strategy(eta)), False
-    except ZeroRadius:
-        return None, False
-    except NonSimple:
-        bumped = eta.copy()
-        j = int(rng.integers(eta.size))
-        bumped[j] = min(1.0, bumped[j] + 1e-9)
-        try:
-            return re_gradient(model, Strategy(bumped)), True
-        except (NonSimple, ZeroRadius, NonConvergence):
-            return _fd_gradient(model, eta), True
-    except NonConvergence:
-        return _fd_gradient(model, eta), True
-
-
 def _pgd(model, project, x0, maximize, max_iter=PGD_ITERATION_CAP,
          window_tol=1e-9):
     """Projected gradient with Armijo backtracking; returns (value, point).
+
+    Gradients come from ``re_gradient``, or from central finite differences
+    where it fails (for good after two failures); a zero radius ends the run.
 
     Besides the per-step Armijo test, progress is watched over a sliding
     window: zigzagging between nearly tied spectral branches makes steady
     but negligible gains, and the window rule cuts those crawls off.
     """
-    rng = np.random.default_rng(_STARTS_SEED + 1)
     sign = -1.0 if maximize else 1.0
     x = project(x0)
     fx = _matrix_re(model.matrix * x)
@@ -165,11 +146,13 @@ def _pgd(model, project, x0, maximize, max_iter=PGD_ITERATION_CAP,
         if fallback_hits >= 2:
             grad = _fd_gradient(model, x)
         else:
-            grad, used_fallback = _gradient(model, x, rng)
-            if used_fallback:
+            try:
+                grad = re_gradient(model, Strategy(x))
+            except ZeroRadius:
+                break
+            except (NonSimple, NonConvergence):
                 fallback_hits += 1
-        if grad is None:
-            break  # radius is zero; nothing to improve on the min side
+                grad = _fd_gradient(model, x)
         g = sign * grad
         gmax = np.abs(g).max()
         if gmax <= 1e-15:
@@ -273,6 +256,23 @@ def _budget(model: MetapopModel, cost_fn: CostFunction, c: float):
     return cmax, cost_fn.coefficient_vector(model.n) * model.weights
 
 
+def _check_effort(n, extra_starts, starts, max_iter, window_tol, resolution=2):
+    """Raise on effort arguments the solver cannot honour, before any work."""
+    for name, value, low in (
+        ("resolution", resolution, 2), ("starts", starts, 1), ("max_iter", max_iter, 0)
+    ):
+        if not _is_int(value) or value < low:
+            raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+    if not (isinstance(window_tol, (int, float)) and 0 <= window_tol < math.inf):
+        raise ValidationError(f"window_tol must be finite and >= 0, got {window_tol!r}")
+    for start in extra_starts:
+        row = np.asarray(start, dtype=float)
+        if row.shape != (n,):
+            raise DimensionMismatch(f"extra start of shape {row.shape}, model has {n} groups")
+        if not np.isfinite(row).all():
+            raise ValidationError("extra starts must be finite")
+
+
 def optimal_loss(
     model: MetapopModel,
     cost_fn: CostFunction,
@@ -289,6 +289,7 @@ def optimal_loss(
     (or Linear) verdict the single-start solution is the global optimum and
     is labelled Converged.
     """
+    _check_effort(model.n, extra_starts, starts, max_iter, window_tol)
     cmax, w = _budget(model, cost_fn, c)
     if cmax - c <= 0:
         zero = Strategy.zeros(model.n)
@@ -403,6 +404,7 @@ def optimal_loss_max(
     certified lower bound.
     """
     n = model.n
+    _check_effort(n, extra_starts, starts, max_iter, window_tol)
     cmax, w = _budget(model, cost_fn, c)
     if c <= 0:
         ones = Strategy.ones(n)
@@ -512,9 +514,8 @@ def pareto_frontier(
     a start for the next budget.  The convexity verdict, the eradication
     result and the budget halfspace are computed once.
     """
-    if resolution < 2:
-        raise ValidationError("resolution must be at least 2")
     n = model.n
+    _check_effort(n, (), starts, max_iter, window_tol, resolution)
     verdict = classify_convexity(model).verdict
     convex = verdict in ("Convex", "Linear")
     erad = eradication_cost(model, cost_fn)
@@ -584,9 +585,8 @@ def anti_pareto_frontier(
     carried along as an extra ascent start, making the reported curve
     monotone.
     """
-    if resolution < 2:
-        raise ValidationError("resolution must be at least 2")
     n = model.n
+    _check_effort(n, (), starts, max_iter, window_tol, resolution)
     cmax = c_max(cost_fn, model)
     ceiling, top_strategy = _ceiling_with_witness(model, cost_fn)
     r0 = effective_re(model, Strategy.ones(n))
@@ -638,6 +638,7 @@ def assemble_reducible(
     of full vaccination freedom outside atoms, keeping the quasi-nilpotent
     remainder entirely non-vaccinated.
     """
+    _check_effort(model.n, (), starts, max_iter, window_tol, resolution)
     _, _, atoms, remainder = _atoms(model, 0.0)
     if not atoms:
         raise ValidationError("assembly needs at least one atom")
@@ -744,6 +745,8 @@ def optimal_ray_check(
     lambda * eta_star for lambda in [0, 1/max(eta_star)]; each grid point is
     checked by value matching against the solved optimum at equal budget.
     """
+    if not _is_int(grid) or grid < 2:
+        raise ValidationError(f"grid must be an integer >= 2, got {grid!r}")
     verdict = classify_convexity(model).verdict
     if verdict not in ("Convex", "Linear"):
         raise PreconditionFailed("ray check needs a Convex or Linear verdict")

@@ -33,6 +33,11 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _is_int(value) -> bool:
+    """An integer, Python's or numpy's, that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_finite(a: np.ndarray, what: str) -> None:
     if not np.isfinite(a).all():
         raise ValidationError(f"{what} contains NaN or infinite entries")
@@ -299,8 +304,10 @@ def load_model(path: str) -> MetapopModel:
     for key in ("n", "weights", "matrix"):
         if key not in data:
             raise ParseError(f"model file misses required key {key!r}")
+    n = data["n"]
+    if not _is_int(n):
+        raise ParseError(f"model field 'n' must be a JSON integer, got {n!r}")
     try:
-        n = int(data["n"])
         weights = np.asarray(data["weights"], dtype=float)
         matrix = np.asarray(data["matrix"], dtype=float)
     except (TypeError, ValueError) as exc:
@@ -318,7 +325,9 @@ def load_model(path: str) -> MetapopModel:
     weights = _pin_weight_sum(weights)
     labels = data.get("labels")
     if labels is not None:
-        labels = tuple(str(x) for x in labels)
+        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+            raise ParseError("model field 'labels' must be a JSON list of strings")
+        labels = tuple(labels)
     return MetapopModel(weights=weights, matrix=matrix, labels=labels)
 
 
@@ -342,8 +351,10 @@ def load_grid(path: str) -> GridKernelSpec:
     for key in ("grid_points", "samples"):
         if key not in data:
             raise ParseError(f"grid file misses required key {key!r}")
+    m = data["grid_points"]
+    if not _is_int(m):
+        raise ParseError(f"grid field 'grid_points' must be a JSON integer, got {m!r}")
     try:
-        m = int(data["grid_points"])
         samples = np.asarray(data["samples"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"grid file has malformed fields: {exc}") from exc

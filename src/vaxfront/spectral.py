@@ -235,17 +235,20 @@ def effective_re_batch(model: MetapopModel, etas: np.ndarray) -> np.ndarray:
     """R_e for each row of a (B, N) array of strategies.
 
     One batched QR spectrum call, with exactly-nilpotent support zeroed out
-    via the boolean cycle test and a per-matrix fallback if the batched call
-    fails.  The certified iterative route remains ``spectral_radius``.
+    via the boolean cycle test; a LAPACK failure on any row raises
+    ``NonConvergence``.  Rows are checked as ``Strategy`` checks its values.
+    The certified iterative route remains ``spectral_radius``.
     """
     etas = np.asarray(etas, dtype=float)
     if etas.ndim != 2 or etas.shape[1] != model.n:
         raise DimensionMismatch("etas must be a (B, N) array matching the model")
+    if not ((etas >= 0.0) & (etas <= 1.0)).all():
+        raise ValidationError("strategy entries must be finite and lie in [0, 1]")
     mats = model.matrix[None, :, :] * etas[:, None, :]
     try:
         rho = np.abs(np.linalg.eigvals(mats)).max(axis=-1)
-    except np.linalg.LinAlgError:
-        rho = np.array([_dense_radius(m) for m in mats])
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"batched QR iteration did not converge: {exc}") from exc
     rho[_support_nilpotent(mats)] = 0.0
     return rho
 
@@ -264,6 +267,8 @@ class EigenPair:
 
 
 def _real_eigenvector(matrix: np.ndarray, target: float) -> np.ndarray:
+    """Clipped unit-sum eigenvector at the eigenvalue nearest ``target``; on the
+    transpose, the left vector when the eigenvector matrix is near-singular."""
     values, vectors = np.linalg.eig(matrix)
     idx = int(np.argmin(np.abs(values - target)))
     v = vectors[:, idx]
@@ -272,20 +277,7 @@ def _real_eigenvector(matrix: np.ndarray, target: float) -> np.ndarray:
     if np.abs(v.imag).max() > 1e-8:
         raise NonSimple("dominant eigenvector is not numerically real")
     v = v.real
-    v[np.abs(v) < 1e-13] = 0.0
-    if v.min() < -1e-9 * max(v.max(), 1e-300):
-        # Dense route disagreed with Perron theory; polish by inverse iteration.
-        n = matrix.shape[0]
-        shifted = matrix - target * (1.0 + 1e-9) * np.eye(n)
-        w = np.abs(v)
-        for _ in range(3):
-            try:
-                w = np.linalg.solve(shifted, w)
-            except np.linalg.LinAlgError:
-                break
-            w = np.abs(w) / np.abs(w).sum()
-        v = w
-    v = np.clip(v, 0.0, None)
+    v[v < 1e-13] = 0.0
     return v / v.sum()
 
 
@@ -301,8 +293,10 @@ def dominant_pair(model: MetapopModel, eta: Strategy) -> EigenPair:
     must then fall back to gradient-free methods.
 
     The left eigenvector comes from the corresponding row of the inverse
-    eigenvector matrix when that is well conditioned (one factorization for
-    the whole pair), with an independent transpose-side solve as fallback.
+    eigenvector matrix when that row is finite and well conditioned (one
+    factorization for the whole pair), with an independent transpose-side
+    solve as fallback; a vector failing its residual check raises
+    ``NonConvergence``.
     """
     effective = model.effective_matrix(eta)
     try:
@@ -335,7 +329,8 @@ def dominant_pair(model: MetapopModel, eta: Strategy) -> EigenPair:
                 phi = np.linalg.inv(vectors)[idx]
             except np.linalg.LinAlgError:
                 phi = None
-            if phi is not None and np.abs(phi.imag).max() <= 1e-8 * np.abs(phi).max():
+            # A non-finite row of the inverse fails the chained test below.
+            if phi is not None and np.abs(phi.imag).max() <= 1e-8 * np.abs(phi).max() < np.inf:
                 phi = sign * phi.real * scale
                 if phi.min() >= -1e-12 * max(phi.max(), 1e-300):
                     phi = np.maximum(phi, 0.0)
@@ -347,10 +342,10 @@ def dominant_pair(model: MetapopModel, eta: Strategy) -> EigenPair:
         right = None
     if right is None:
         right = _real_eigenvector(effective, lam)
-        left = _real_eigenvector(effective.T, lam)
-        left = left / float(left @ right)
         if _residual(effective, right, lam) > bound:
             raise NonConvergence("right eigenvector residual above tolerance")
+        left = _real_eigenvector(effective.T, lam)
+        left = left / float(left @ right)
     if _residual(effective.T, left, lam) > bound:
         raise NonConvergence("left eigenvector residual above tolerance")
     return EigenPair(value=lam, right=right, left=left)

@@ -84,6 +84,14 @@ class TestCompute:
         assert code == 0
         assert json.loads(out)["r0"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_bad_labels_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "labels.json"
+        doc = {"n": 1, "weights": [1.0], "matrix": [[2.0]], "labels": 5}
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["compute", "--model", str(path), "--eta", "1"])
+        assert code == 2
+        assert out == "" and "labels" in err
+
     def test_missing_model_exit_2(self, capsys):
         code, _, err = run(capsys, ["compute", "--eta", "1"])
         assert code == 2

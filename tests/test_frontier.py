@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from vaxfront import (
     CostFunction,
+    DimensionMismatch,
     MetapopModel,
+    NonSimple,
     PreconditionFailed,
     Strategy,
     ValidationError,
@@ -25,7 +27,7 @@ from vaxfront import (
     pareto_frontier,
 )
 from vaxfront import fixtures, frontier
-from vaxfront.acceptance import random_convex_model, random_rank_one
+from vaxfront.acceptance import random_convex_model, random_model, random_rank_one
 from vaxfront.frontier import _project_budget, _vertex_maximum
 
 UNIFORM = CostFunction.uniform()
@@ -144,6 +146,86 @@ class TestBudgetCheck:
     def test_nan_budget_rejected(self, solver):
         with pytest.raises(ValidationError):
             solver(fixtures.cycle_model(), UNIFORM, float("nan"))
+
+
+def _cycle():
+    return fixtures.cycle_model()
+
+
+def _half(n=12):
+    return np.full(n, 0.5)
+
+
+class TestEffortCheck:
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda: anti_pareto_frontier(
+                random_model(np.random.default_rng(0), 25), UNIFORM, resolution=2, starts=0
+            ), ValidationError),
+            (lambda: optimal_loss(_cycle(), UNIFORM, 0.25, extra_starts=(_half(11),)),
+             DimensionMismatch),
+            (lambda: optimal_loss_max(_cycle(), UNIFORM, 0.25, extra_starts=(_half(13),)),
+             DimensionMismatch),
+            (lambda: optimal_loss(
+                _cycle(), UNIFORM, 0.25, extra_starts=(np.full(12, np.nan),)
+            ), ValidationError),
+            (lambda: optimal_loss_max(
+                _cycle(), UNIFORM, 0.25, extra_starts=(np.full(12, np.nan),)
+            ), ValidationError),
+            (lambda: optimal_ray_check(
+                fixtures.positive_definite_model(), UNIFORM, Strategy(_half(3)), grid=-1
+            ), ValidationError),
+            (lambda: pareto_frontier(_cycle(), UNIFORM, resolution=2.5), ValidationError),
+            (lambda: optimal_loss(_cycle(), UNIFORM, 0.25, max_iter=-1), ValidationError),
+            (lambda: optimal_loss(_cycle(), UNIFORM, 0.25, starts=-2), ValidationError),
+            (lambda: optimal_loss_max(_cycle(), UNIFORM, 0.25, window_tol=np.nan),
+             ValidationError),
+            (lambda: assemble_reducible(fixtures.two_block_model(), UNIFORM, window_tol=-1.0),
+             ValidationError),
+        ],
+        ids=[
+            "anti-without-starts", "min-short-start", "max-long-start", "min-nan-start",
+            "max-nan-start", "ray-negative-grid", "fractional-resolution",
+            "negative-max-iter", "negative-starts", "nan-window-tol",
+            "assembly-negative-window-tol",
+        ],
+    )
+    def test_refused(self, call, error):
+        with pytest.raises(error):
+            call()
+
+    def test_reduced_effort_accepted(self):
+        # The effort of the reducible sweeps, and the smallest one allowed.
+        frontier._check_effort(4, (_half(4),), 3, 80, 3e-7, resolution=np.int64(4))
+        solved = optimal_loss(_cycle(), UNIFORM, 0.25, starts=1, max_iter=0, window_tol=0.0)
+        assert 0.0 < solved.loss < 2.0
+
+
+class TestGradientFallback:
+    def test_two_fallbacks_then_finite_differences(self, monkeypatch):
+        calls = {"re_gradient": 0, "_fd_gradient": 0}
+        fd_gradient = frontier._fd_gradient
+
+        def non_simple(model, eta):
+            calls["re_gradient"] += 1
+            raise NonSimple("forced")
+
+        def counted(model, eta):
+            calls["_fd_gradient"] += 1
+            return fd_gradient(model, eta)
+
+        monkeypatch.setattr(frontier, "re_gradient", non_simple)
+        monkeypatch.setattr(frontier, "_fd_gradient", counted)
+        model = _cycle()
+
+        def project(x):
+            return _project_budget(x, model.weights, 0.7, "ge")
+
+        x0 = np.random.default_rng(3).random(12)
+        frontier._pgd(model, project, x0, maximize=False, max_iter=40)
+        assert calls["re_gradient"] == 2
+        assert calls["_fd_gradient"] >= 4
 
 
 def _polytope_vertices(w, b, sense):
@@ -340,6 +422,28 @@ class TestAntiParetoFrontier:
     def test_monotone(self):
         curve = anti_pareto_frontier(fixtures.cycle_model(), UNIFORM, resolution=16)
         assert np.all(np.diff(curve.losses()) <= 1e-12)
+
+
+@st.composite
+def small_models(draw):
+    """Models of at most 5 groups with some zero entries."""
+    n = draw(st.integers(1, 5))
+    entries = st.one_of(st.just(0.0), st.floats(0.05, 3.0))
+    k = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    return MetapopModel(weights=np.full(n, 1.0 / n), matrix=k)
+
+
+class TestMonotoneProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(small_models(), st.sampled_from(["pareto", "anti"]))
+    def test_curves_nonincreasing_in_cost(self, model, kind):
+        sweep = pareto_frontier if kind == "pareto" else anti_pareto_frontier
+        curve = sweep(model, UNIFORM, resolution=4, starts=2, max_iter=40)
+        assert np.all(np.diff(curve.costs()) >= 0.0)
+        # The R_0 endpoint and the solved points come from separate eigvals
+        # calls, which may differ in the last bits.
+        losses = curve.losses()
+        assert np.all(np.diff(losses) <= 1e-12 * max(1.0, losses[0]))
 
 
 class TestSandwichAndInverses:

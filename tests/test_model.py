@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vaxfront import (
     CostFunction,
@@ -21,6 +23,7 @@ from vaxfront import (
     save_model,
 )
 from vaxfront import fixtures
+from vaxfront.model import _pin_weight_sum
 
 UNIFORM = CostFunction.uniform()
 
@@ -89,6 +92,34 @@ class TestLoadModel:
         with pytest.raises(ParseError):
             load_model(str(path))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("labels", 5), ("labels", "ab"), ("labels", ["a", 2]), ("n", 2.9), ("n", "2"),
+         ("n", True), ("n", 2.0)],
+    )
+    def test_strict_fields(self, tmp_path, field, value):
+        doc = {"n": 2, "weights": [0.5, 0.5], "matrix": [[0.0, 1.0], [1.0, 0.0]]}
+        doc[field] = value
+        with pytest.raises(ParseError):
+            load_model(write_model(tmp_path, "strict.json", doc))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.integers(1, 5))
+    def test_round_trip_property(self, tmp_path_factory, data, n):
+        floats = st.floats(0.0, 1e3, allow_subnormal=True)
+        weights = _pin_weight_sum(
+            np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
+        )
+        matrix = np.array(data.draw(st.lists(floats, min_size=n * n, max_size=n * n)))
+        labels = tuple(data.draw(st.lists(st.text(max_size=6), min_size=n, max_size=n)))
+        model = MetapopModel(weights=weights, matrix=matrix.reshape(n, n), labels=labels)
+        path = tmp_path_factory.getbasetemp() / "round_trip.json"
+        save_model(model, str(path))
+        again = load_model(str(path))
+        assert again.weights.tobytes() == model.weights.tobytes()
+        assert again.matrix.tobytes() == model.matrix.tobytes()
+        assert again.labels == labels
+
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         for trial in range(10):
@@ -134,6 +165,14 @@ class TestGrid:
             if previous is not None:
                 assert err < previous
             previous = err
+
+    @pytest.mark.parametrize("value", [2.9, "2", True, 2.0])
+    def test_strict_grid_points(self, tmp_path, value):
+        path = write_model(
+            tmp_path, "grid.json", {"grid_points": value, "samples": [[1.0] * 2] * 2}
+        )
+        with pytest.raises(ParseError):
+            load_grid(path)
 
     def test_grid_file(self, tmp_path):
         path = tmp_path / "g.json"

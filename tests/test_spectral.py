@@ -1,13 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vaxfront import (
     ComplexSpectrum,
     MetapopModel,
+    NonConvergence,
     NonSimple,
     Strategy,
+    ValidationError,
     ZeroRadius,
     dominant_pair,
     effective_re,
@@ -115,6 +120,27 @@ class TestEffectiveRe:
         etas = np.random.default_rng(6).random((9, 3))
         assert np.all(effective_re_batch(model, etas) == 0.0)
 
+    @pytest.mark.parametrize(
+        "row", [[2.0, 1.0], [-0.5, 1.0], [math.nan, 1.0], [math.inf, 1.0]]
+    )
+    def test_batch_rows_checked_as_strategies(self, row):
+        model = random_model(np.random.default_rng(7), 2)
+        with pytest.raises(ValidationError):
+            effective_re_batch(model, np.array([[0.5, 0.5], row]))
+
+    def test_batch_failure_raises_at_once(self, monkeypatch):
+        calls = []
+
+        def failing(a):
+            calls.append(a.shape)
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", failing)
+        model = random_model(np.random.default_rng(8), 3)
+        with pytest.raises(NonConvergence):
+            effective_re_batch(model, np.full((4, 3), 0.5))
+        assert calls == [(4, 3, 3)]
+
 
 class TestDominantPair:
     def test_scalar(self):
@@ -166,6 +192,19 @@ class TestDominantPair:
         model = MetapopModel(weights=np.array([0.5, 0.5]), matrix=np.eye(2))
         with pytest.raises(NonSimple):
             dominant_pair(model, Strategy.ones(2))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_inverse_takes_the_fallback(self, monkeypatch, bad):
+        model = random_model(np.random.default_rng(9), 4)
+        eta = Strategy(np.array([0.2, 0.0, 0.7, 1.0]))
+        expected = dominant_pair(model, eta)
+        monkeypatch.setattr(np.linalg, "inv", lambda a: np.full(a.shape, bad))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pair = dominant_pair(model, eta)
+        assert pair.value == expected.value
+        np.testing.assert_allclose(pair.right, expected.right, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pair.left, expected.left, rtol=1e-9, atol=0)
 
 
 class TestGradient:
@@ -294,6 +333,61 @@ class TestInvariances:
             a = rng.random((n, n))
             b = a * rng.random((n, n))
             assert spectral_radius(a) >= spectral_radius(b) - 1e-12
+
+
+def vectors(n, low=0.0, high=1.0):
+    return st.lists(st.floats(low, high), min_size=n, max_size=n).map(np.array)
+
+
+@st.composite
+def kernel_and_strategy(draw, max_n=6):
+    """A nonnegative kernel of at most ``max_n`` groups, some entries zero,
+    and a strategy in [0, 1]^N."""
+    n = draw(st.integers(1, max_n))
+    entries = st.one_of(st.just(0.0), st.floats(0.01, 3.0))
+    k = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    return k, draw(vectors(n))
+
+
+def _re(k, eta):
+    return effective_re(MetapopModel(np.full(k.shape[0], 1.0 / k.shape[0]), k), Strategy(eta))
+
+
+class TestLawProperties:
+    """The R_e laws on drawn kernels, to the tolerances of the seeded checks
+    in ``TestInvariances``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_and_strategy(), st.floats(0.0, 1.0))
+    def test_homogeneity(self, drawn, lam):
+        k, eta = drawn
+        base = _re(k, eta)
+        assert abs(_re(k, lam * eta) - lam * base) <= 1e-10 * max(1.0, base)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_and_strategy(), st.data())
+    def test_monotonicity(self, drawn, data):
+        k, eta = drawn
+        u = data.draw(vectors(k.shape[0]))
+        base = _re(k, eta)
+        assert _re(k, u * eta) <= base + 1e-10 * max(1.0, base)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_and_strategy())
+    def test_transpose(self, drawn):
+        k, eta = drawn
+        base = _re(k, eta)
+        swapped = spectral_radius(eta[:, None] * k.T)
+        assert abs(swapped - base) <= 1e-10 * max(1.0, base)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_and_strategy(), st.data())
+    def test_diagonal_similarity(self, drawn, data):
+        k, eta = drawn
+        h = data.draw(vectors(k.shape[0], 0.2, 5.0))
+        base = _re(k, eta)
+        conj = _re(h[:, None] * k / h[None, :], eta)
+        assert abs(conj - base) <= 1e-9 * max(1.0, base)
 
 
 class TestRouteAgreement:
