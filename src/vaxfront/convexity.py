@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model import MetapopModel
+from .model import MetapopModel, _check_int
 from .spectral import effective_re_batch, inertia, spectral_radius
 
 SYMMETRIZABLE_RTOL = 1e-8
@@ -148,10 +148,8 @@ def probe_convexity(model: MetapopModel, trials: int, seed: int) -> ConvexityVer
     t = 0.05 + 0.9 u from its uniform u for i mod 4 = 3.  Gaps above 1e-6 in
     absolute value count as violations.
     """
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
-    if seed < 0:
-        raise ValidationError("seed must be nonnegative")
+    _check_int("trials", trials, 1)
+    _check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     eta0 = rng.random((trials, model.n))
     eta1 = rng.random((trials, model.n))

@@ -35,7 +35,7 @@ from .errors import (
     ZeroRadius,
 )
 from .independent import eradication_cost
-from .model import CostFunction, MetapopModel, Strategy, _is_int, c_max, cost
+from .model import CostFunction, MetapopModel, Strategy, _check_int, c_max, cost
 from .spectral import _matrix_re, effective_re, effective_re_batch, re_gradient
 from .structure import _atom_submodel, _atoms, frobenius_decompose
 
@@ -136,7 +136,7 @@ def _pgd(model, project, x0, maximize, max_iter=PGD_ITERATION_CAP,
     """
     sign = -1.0 if maximize else 1.0
     x = project(x0)
-    fx = _matrix_re(model.matrix * x)
+    fx = _matrix_re(model, x)
     fallback_hits = 0
     window: list[float] = []
     last_step = None
@@ -169,7 +169,7 @@ def _pgd(model, project, x0, maximize, max_iter=PGD_ITERATION_CAP,
                 delta = candidate - x
                 if np.abs(delta).max() <= 1e-14:
                     break
-                fc = _matrix_re(model.matrix * candidate)
+                fc = _matrix_re(model, candidate)
                 if sign * (fc - fx) <= ARMIJO_DECREASE * float(g @ delta):
                     x, fx = candidate, fc
                     improved = True
@@ -258,11 +258,9 @@ def _budget(model: MetapopModel, cost_fn: CostFunction, c: float):
 
 def _check_effort(n, extra_starts, starts, max_iter, window_tol, resolution=2):
     """Raise on effort arguments the solver cannot honour, before any work."""
-    for name, value, low in (
-        ("resolution", resolution, 2), ("starts", starts, 1), ("max_iter", max_iter, 0)
-    ):
-        if not _is_int(value) or value < low:
-            raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+    _check_int("resolution", resolution, 2)
+    _check_int("starts", starts, 1)
+    _check_int("max_iter", max_iter, 0)
     if not (isinstance(window_tol, (int, float)) and 0 <= window_tol < math.inf):
         raise ValidationError(f"window_tol must be finite and >= 0, got {window_tol!r}")
     for start in extra_starts:
@@ -421,7 +419,7 @@ def optimal_loss_max(
     best = None
     if n <= VERTEX_BUDGET:
         best = _vertex_maximum(model, w, budget)
-        r0 = _matrix_re(model.matrix)
+        r0 = _matrix_re(model, np.ones(n))
         plateau_hit = best[0] >= r0 - 1e-12 * max(1.0, r0)
         if convex or plateau_hit:
             # Monotonicity bounds every feasible loss by R_0, so hitting it
@@ -745,8 +743,7 @@ def optimal_ray_check(
     lambda * eta_star for lambda in [0, 1/max(eta_star)]; each grid point is
     checked by value matching against the solved optimum at equal budget.
     """
-    if not _is_int(grid) or grid < 2:
-        raise ValidationError(f"grid must be an integer >= 2, got {grid!r}")
+    _check_int("grid", grid, 2)
     verdict = classify_convexity(model).verdict
     if verdict not in ("Convex", "Linear"):
         raise PreconditionFailed("ray check needs a Convex or Linear verdict")
@@ -787,10 +784,8 @@ def feasible_region_sample(
     family of strategies that deviate from all-ones or all-zeros in at most
     two coordinates placed on a 1/8 grid.
     """
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
-    if seed < 0:
-        raise ValidationError("seed must be nonnegative")
+    _check_int("samples", samples, 1)
+    _check_int("seed", seed, 0)
     n = model.n
     rng = np.random.default_rng(seed)
     etas = [rng.random((samples, n))]

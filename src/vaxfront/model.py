@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,12 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
 def _is_int(value) -> bool:
     """An integer, Python's or numpy's, that is not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_int(name: str, value, low: int) -> None:
+    """Raise ``ValidationError`` unless ``value`` is an integer >= ``low``."""
+    if not _is_int(value) or value < low:
+        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _check_finite(a: np.ndarray, what: str) -> None:
@@ -88,12 +95,22 @@ class MetapopModel:
             raise ValidationError("matrix entries must be nonnegative")
         if abs(math.fsum(w.tolist()) - 1.0) > _WEIGHT_SUM_INVARIANT:
             raise ValidationError("weights must sum to one (within 1e-12)")
-        if self.labels is not None and len(self.labels) != w.size:
-            raise ValidationError("labels length must match the number of groups")
+        labels = self.labels
+        if labels is not None:
+            if isinstance(labels, str) or not isinstance(labels, Sequence) or not all(
+                isinstance(x, str) for x in labels
+            ):
+                raise ValidationError("labels must be a sequence of strings")
+            if len(labels) != w.size:
+                raise ValidationError("labels length must match the number of groups")
+            object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "weights", _as_readonly(w))
         object.__setattr__(self, "matrix", _as_readonly(k))
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
+        # Derived, not a field: an exactly symmetric K of several groups has
+        # R_e(eta) = rho(diag(sqrt(eta)) K diag(sqrt(eta))), which the
+        # symmetric eigensolver takes (see spectral.py); one group keeps its
+        # exact K00 * eta0.
+        object.__setattr__(self, "_symmetric", w.size > 1 and np.array_equal(k, k.T))
 
     @property
     def n(self) -> int:
@@ -103,13 +120,17 @@ class MetapopModel:
         """Discrete kernel k_d(i, j) = K[i, j] / mu[j]."""
         return self.matrix / self.weights[None, :]
 
-    def effective_matrix(self, eta: "Strategy") -> np.ndarray:
-        """K . diag(eta), the next-generation matrix of the vaccinated system."""
+    def _values(self, eta: "Strategy") -> np.ndarray:
+        """The entries of ``eta``, which must have one per group."""
         if eta.n != self.n:
             raise DimensionMismatch(
                 f"strategy has {eta.n} entries, model has {self.n} groups"
             )
-        return self.matrix * eta.values[None, :]
+        return eta.values
+
+    def effective_matrix(self, eta: "Strategy") -> np.ndarray:
+        """K . diag(eta), the next-generation matrix of the vaccinated system."""
+        return self.matrix * self._values(eta)[None, :]
 
 
 @dataclass(frozen=True)
@@ -203,9 +224,8 @@ class GridKernelSpec:
     samples: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_int("grid_points", self.grid_points, 1)
         m = int(self.grid_points)
-        if m < 1:
-            raise ValidationError("grid_points must be a positive integer")
         s = np.asarray(self.samples, dtype=float)
         if s.shape != (m, m):
             raise ValidationError(
@@ -228,12 +248,9 @@ def cost(cost_fn: CostFunction, model: MetapopModel, eta: Strategy) -> float:
     Uses compensated summation so that e.g. vaccinating 6 of 12 uniform
     groups costs exactly 0.5.
     """
-    if eta.n != model.n:
-        raise DimensionMismatch(
-            f"strategy has {eta.n} entries, model has {model.n} groups"
-        )
+    values = model._values(eta)
     coef = cost_fn.coefficient_vector(model.n)
-    terms = coef * model.weights * (1.0 - eta.values)
+    terms = coef * model.weights * (1.0 - values)
     return math.fsum(terms.tolist())
 
 

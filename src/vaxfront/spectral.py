@@ -1,23 +1,34 @@
 """Spectral radius, full spectra, inertia and derivatives of R_e.
 
-Two independent routes are kept deliberately:
+Three routes are kept deliberately:
 
+* An exactly symmetric K (the flag ``MetapopModel`` derives at
+  construction) has R_e(eta) = rho(S) with S = diag(sqrt(eta)) K
+  diag(sqrt(eta)), since rho(AB) = rho(BA), and S is symmetric and
+  nonnegative, so its radius is its top eigenvalue.  ``effective_re``, its
+  batch and the solver take it with the symmetric eigensolver
+  (``eigvalsh``), backward stable and several times cheaper than general QR;
+  ``dominant_pair`` maps one ``eigh`` of S to the Perron pair.  A
+  one-group model keeps its exact entry K00 * eta0.
 * ``spectral_radius`` condenses the support digraph into its strongly
   connected blocks (the radius of a nonnegative matrix is the maximum over
   the diagonal blocks of its Frobenius form) and takes each block's radius
-  with ``_block_radius``: dense QR up to ``_DENSE_CUTOFF`` groups, above it
-  a shifted power iteration with ``s = 1 + max diagonal``.  The shift makes
+  with ``_block_radius``: a dense eigensolver (``eigvalsh`` for an exactly
+  symmetric block, QR otherwise) up to ``_DENSE_CUTOFF`` groups, above it a
+  shifted power iteration with ``s = 1 + max diagonal``.  The shift makes
   the block primitive, defeating periodicity such as even cycles whose
   peripheral spectrum contains ``-rho``, and the Collatz-Wielandt ratio
   bracket then closes geometrically, certifying the result two-sided.  A
   block whose bracket contracts too slowly to close within the iteration
-  cap leaves the loop early for dense QR.
+  cap (n steps for a symmetric block, whose eigensolver is cheap) leaves
+  the loop early for the dense eigensolver.
 * ``full_spectrum`` reduces to Hessenberg form and runs shifted QR (LAPACK
-  via ``numpy.linalg.eigvals``); it serves as the dense route and as the
-  cross-check oracle in the tests.
+  via ``numpy.linalg.eigvals``); it serves as the dense route for other
+  models and as the cross-check oracle in the tests.
 
 Exactly nilpotent input is recognized by a boolean cycle test on the
-support, giving a radius of exactly zero.
+support, giving a radius of exactly zero; on the symmetric route a top
+eigenvalue that is not positive gives +0.0.
 """
 
 from __future__ import annotations
@@ -105,18 +116,35 @@ def _power_block(block: np.ndarray, cap: int = POWER_ITERATION_CAP) -> float | N
     return None
 
 
+def _symmetric_radius(s: np.ndarray) -> float:
+    """Spectral radius of a symmetric nonnegative matrix: its top eigenvalue
+    (Perron-Frobenius), +0.0 when that is not positive."""
+    try:
+        top = float(np.linalg.eigvalsh(s)[-1])
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"symmetric eigensolver failed: {exc}") from exc
+    return top if top > 0.0 else 0.0
+
+
 def _block_radius(block: np.ndarray) -> float:
     """Spectral radius of an irreducible nonnegative block: its loop entry
-    for one group, dense QR up to ``_DENSE_CUTOFF`` groups, above it the
-    certified power route or, when that stalls, dense QR."""
+    for one group, a dense eigensolver up to ``_DENSE_CUTOFF`` groups, above
+    it the certified power route or, when that stalls, the dense eigensolver.
+    The dense eigensolver is ``eigvalsh`` for an exactly symmetric block and
+    QR otherwise.  ``eigvalsh`` costs on the order of n power steps (about
+    n / 2 at 200 to 400 groups), so a symmetric block gives the power route
+    n steps rather than the full cap: a fast-mixing block still closes its
+    bracket at a tenth of the eigensolver's cost, and a slow one stalls
+    within n steps and pays about two to three times the eigensolver."""
     n = block.shape[0]
     if n == 1:
         return float(block[0, 0])
+    symmetric = np.array_equal(block, block.T)
     if n > _DENSE_CUTOFF:
-        value = _power_block(block)
+        value = _power_block(block, n if symmetric else POWER_ITERATION_CAP)
         if value is not None:
             return value
-    return _dense_radius(block)
+    return _symmetric_radius(block) if symmetric else _dense_radius(block)
 
 
 def spectral_radius(a: np.ndarray) -> float:
@@ -213,29 +241,54 @@ def inertia(a: np.ndarray) -> tuple[int, int]:
     return spec.p_count, spec.n_count
 
 
-def _matrix_re(effective: np.ndarray) -> float:
-    """R_e of an effective matrix K . diag(eta): the route of ``effective_re``
-    for callers that already hold the matrix, such as the solver's inner loop."""
-    if effective.shape[0] <= _DENSE_CUTOFF:
-        return _dense_radius(effective)
+def _symmetrized(model: MetapopModel, x: np.ndarray) -> np.ndarray:
+    """diag(sqrt(x)) K diag(sqrt(x)) for a symmetric model, exactly symmetric
+    (the outer product is formed first), with the spectrum of K . diag(x):
+    rho(AB) = rho(BA).  On a (B, N) stack, the (B, N, N) stack."""
+    r = np.sqrt(x)
+    return (r[..., :, None] * r[..., None, :]) * model.matrix
+
+
+def _matrix_re(model: MetapopModel, x: np.ndarray) -> float:
+    """R_e at the strategy values ``x``: the one route choice of
+    ``effective_re``, for callers such as the solver's inner loop.
+
+    A symmetric model goes to ``eigvalsh`` on its symmetrized matrix up to
+    ``_DENSE_CUTOFF`` groups, above it to ``spectral_radius`` of that matrix,
+    whose symmetric blocks take ``eigvalsh`` when the power route does not
+    close within n steps; any other model to dense QR on K . diag(x), above
+    the cutoff to ``spectral_radius``.
+    """
+    if model._symmetric:
+        effective = _symmetrized(model, x)
+        if model.n <= _DENSE_CUTOFF:
+            return _symmetric_radius(effective)
+    else:
+        effective = model.matrix * x
+        if model.n <= _DENSE_CUTOFF:
+            return _dense_radius(effective)
     return spectral_radius(effective)
 
 
 def effective_re(model: MetapopModel, eta: Strategy) -> float:
     """Effective reproduction number: spectral radius of K . diag(eta).
 
-    Desk-scale models are evaluated by the dense QR spectrum, larger ones by
-    the certified iterative route; the two agree to 1e-12 relative (standing
-    cross-check in the tests).
+    An exactly symmetric K takes the symmetric eigensolver on
+    diag(sqrt(eta)) K diag(sqrt(eta)), which has the same spectrum.  Other
+    desk-scale models are evaluated by the dense QR spectrum, larger ones by
+    the certified iterative route; the routes agree to 1e-12 relative
+    (standing cross-checks in the tests).
     """
-    return _matrix_re(model.effective_matrix(eta))
+    return _matrix_re(model, model._values(eta))
 
 
 def effective_re_batch(model: MetapopModel, etas: np.ndarray) -> np.ndarray:
     """R_e for each row of a (B, N) array of strategies.
 
-    One batched QR spectrum call, with exactly-nilpotent support zeroed out
-    via the boolean cycle test; a LAPACK failure on any row raises
+    A symmetric model takes one stacked ``eigvalsh`` of the symmetrized
+    matrices, whose radius is zero only for the zero matrix.  Any other model
+    takes one batched QR spectrum call, with exactly-nilpotent support zeroed
+    out via the boolean cycle test.  A LAPACK failure on any row raises
     ``NonConvergence``.  Rows are checked as ``Strategy`` checks its values.
     The certified iterative route remains ``spectral_radius``.
     """
@@ -244,11 +297,14 @@ def effective_re_batch(model: MetapopModel, etas: np.ndarray) -> np.ndarray:
         raise DimensionMismatch("etas must be a (B, N) array matching the model")
     if not ((etas >= 0.0) & (etas <= 1.0)).all():
         raise ValidationError("strategy entries must be finite and lie in [0, 1]")
-    mats = model.matrix[None, :, :] * etas[:, None, :]
     try:
+        if model._symmetric:
+            top = np.linalg.eigvalsh(_symmetrized(model, etas))[:, -1]
+            return np.where(top > 0.0, top, 0.0)
+        mats = model.matrix[None, :, :] * etas[:, None, :]
         rho = np.abs(np.linalg.eigvals(mats)).max(axis=-1)
     except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"batched QR iteration did not converge: {exc}") from exc
+        raise NonConvergence(f"batched eigensolver did not converge: {exc}") from exc
     rho[_support_nilpotent(mats)] = 0.0
     return rho
 
@@ -285,6 +341,29 @@ def _residual(matrix: np.ndarray, vector: np.ndarray, value: float) -> float:
     return np.abs(matrix @ vector - value * vector).max()
 
 
+def _symmetric_pair(model: MetapopModel, x: np.ndarray) -> EigenPair:
+    """Perron pair of K . diag(x) for a symmetric model from one ``eigh`` of
+    S = diag(r) K diag(r), r = sqrt(x).  For S u = lam u, phi = r * u is a
+    left and K phi a right eigenvector of K . diag(x)."""
+    r = np.sqrt(x)
+    try:
+        values, vectors = np.linalg.eigh(_symmetrized(model, x))
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"symmetric eigendecomposition failed: {exc}") from exc
+    lam = float(values[-1])
+    if lam <= 0.0:
+        raise ZeroRadius("effective matrix is quasi-nilpotent")
+    if int((np.abs(values - lam) <= SIMPLE_GAP_TOL * lam).sum()) != 1:
+        raise NonSimple(
+            "dominant eigenvalue is not simple within the 1e-8 gap threshold"
+        )
+    u = vectors[:, -1]
+    phi = np.maximum(r * u if u.sum() >= 0.0 else -r * u, 0.0)
+    v = model.matrix @ phi
+    right = v / v.sum()
+    return EigenPair(value=lam, right=right, left=phi / float(phi @ right))
+
+
 def dominant_pair(model: MetapopModel, eta: Strategy) -> EigenPair:
     """Perron eigenpair of the effective matrix.
 
@@ -292,13 +371,17 @@ def dominant_pair(model: MetapopModel, eta: Strategy) -> EigenPair:
     eigenvalue is not simple within the 1e-8 relative gap threshold; callers
     must then fall back to gradient-free methods.
 
-    The left eigenvector comes from the corresponding row of the inverse
-    eigenvector matrix when that row is finite and well conditioned (one
-    factorization for the whole pair), with an independent transpose-side
-    solve as fallback; a vector failing its residual check raises
-    ``NonConvergence``.
+    A symmetric model takes one ``eigh`` of diag(sqrt(eta)) K diag(sqrt(eta))
+    and maps its top eigenvector to the pair.  For any other model, the left
+    eigenvector comes from the corresponding row of the inverse eigenvector
+    matrix when that row is finite and well conditioned (one factorization
+    for the whole pair), with an independent transpose-side solve as
+    fallback; a vector failing its residual check raises ``NonConvergence``.
     """
-    effective = model.effective_matrix(eta)
+    x = model._values(eta)
+    if model._symmetric:
+        return _symmetric_pair(model, x)
+    effective = model.matrix * x
     try:
         values, vectors = np.linalg.eig(effective)
     except np.linalg.LinAlgError as exc:

@@ -25,6 +25,7 @@ from vaxfront import (
     optimal_loss_max,
     optimal_ray_check,
     pareto_frontier,
+    probe_convexity,
 )
 from vaxfront import fixtures, frontier
 from vaxfront.acceptance import random_convex_model, random_model, random_rank_one
@@ -194,6 +195,23 @@ class TestEffortCheck:
     def test_refused(self, call, error):
         with pytest.raises(error):
             call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: probe_convexity(m, 2.5, 1),
+            lambda m: probe_convexity(m, 10, 1.5),
+            lambda m: probe_convexity(m, 10, True),
+            lambda m: feasible_region_sample(m, UNIFORM, 2.5),
+            lambda m: feasible_region_sample(m, UNIFORM, 10, seed=1.5),
+            lambda m: feasible_region_sample(m, UNIFORM, 10, seed=True),
+        ],
+        ids=["probe-trials", "probe-seed", "probe-bool-seed", "sample-samples",
+             "sample-seed", "sample-bool-seed"],
+    )
+    def test_sampler_integers(self, call):
+        with pytest.raises(ValidationError):
+            call(fixtures.counterexample_positive_spectrum())
 
     def test_reduced_effort_accepted(self):
         # The effort of the reducible sweeps, and the smallest one allowed.

@@ -183,6 +183,32 @@ class TestGrid:
             GridKernelSpec(grid_points=2, samples=np.array([[1.0, -2.0], [3.0, 4.0]]))
 
 
+class TestStrictConstruction:
+    """Library callers get the checks the file loaders make."""
+
+    @pytest.mark.parametrize(
+        "labels", ["ab", (1, None), 5, ("a", b"b")], ids=["string", "non-strings", "int", "bytes"]
+    )
+    def test_labels_refused(self, labels):
+        with pytest.raises(ValidationError):
+            MetapopModel(weights=np.array([0.5, 0.5]), matrix=np.ones((2, 2)), labels=labels)
+
+    def test_label_list_kept(self):
+        model = MetapopModel(
+            weights=np.array([0.5, 0.5]), matrix=np.ones((2, 2)), labels=["a", "b"]
+        )
+        assert model.labels == ("a", "b")
+
+    @pytest.mark.parametrize("value, size", [(2.9, 2), (True, 1), ("2", 2), (2.0, 2)])
+    def test_grid_points_refused(self, value, size):
+        with pytest.raises(ValidationError):
+            GridKernelSpec(grid_points=value, samples=np.ones((size, size)))
+
+    def test_numpy_grid_points_accepted(self):
+        spec = GridKernelSpec(grid_points=np.int64(2), samples=np.ones((2, 2)))
+        assert spec.grid_points == 2 and type(spec.grid_points) is int
+
+
 class TestCost:
     def test_cycle_one_in_four(self):
         value = cost(UNIFORM, fixtures.cycle_model(), fixtures.one_in_four_strategy())

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from vaxfront import (
     ComplexSpectrum,
+    CostFunction,
     MetapopModel,
     NonConvergence,
     NonSimple,
@@ -19,10 +20,12 @@ from vaxfront import (
     effective_re_batch,
     full_spectrum,
     inertia,
+    eradication_cost,
+    frobenius_decompose,
     re_gradient,
     spectral_radius,
 )
-from vaxfront import fixtures
+from vaxfront import fixtures, spectral
 from vaxfront.acceptance import random_model, random_rank_one
 from vaxfront.spectral import _DENSE_CUTOFF, _power_block
 
@@ -442,3 +445,176 @@ class TestPowerRoute:
         assert _power_block(block.view(_CountingMatrix)) is None
         assert _CountingMatrix.products <= 600
         assert spectral_radius(block) == pytest.approx(2.0, abs=2e-12)
+
+    def test_stalled_asymmetric_block_falls_back_to_qr(self, monkeypatch):
+        n = 200
+        block = np.zeros((n, n))
+        i = np.arange(n)
+        block[i, (i + 1) % n] = 1.0
+        block[(i + 1) % n, i] = 0.5
+        assert _power_block(block) is None
+        calls = []
+        general = np.linalg.eigvals
+
+        def counted(a):
+            calls.append(a.shape)
+            return general(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        assert spectral_radius(block) == float(np.abs(general(block)).max())
+        assert calls == [(n, n)]
+        assert spectral_radius(block) == pytest.approx(1.5, rel=1e-13)
+
+    def test_symmetric_block_power_steps_capped_at_size(self):
+        block = fixtures.cycle_model(200).matrix
+        _CountingMatrix.products = 0
+        assert _power_block(block.view(_CountingMatrix), 200) is None
+        assert _CountingMatrix.products <= 200
+
+    def test_fast_mixing_symmetric_block_takes_power_route(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        a = rng.random((120, 120))
+        block = a + a.T
+        power = _power_block(block, 120)
+        assert power is not None
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigensolver called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert spectral_radius(block) == power
+        monkeypatch.undo()
+        assert power == pytest.approx(np.linalg.eigvalsh(block)[-1], rel=1e-12)
+
+
+def _random_symmetric(rng, n):
+    """A symmetric kernel of n groups: sparse or dense support, loops on
+    about half the draws, and on half of them two disconnected halves."""
+    a = 3.0 * rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.05, 1.0))
+    if rng.random() < 0.5:
+        cut = int(rng.integers(1, n))
+        a[:cut, cut:] = 0.0
+    k = np.triu(a) + np.triu(a, 1).T
+    if rng.random() < 0.5:
+        np.fill_diagonal(k, 0.0)
+    return MetapopModel(np.full(n, 1.0 / n), k)
+
+
+def _general_radius(k, eta):
+    return float(np.abs(np.linalg.eigvals(k * eta)).max())
+
+
+def _ring2(n):
+    k = fixtures.cycle_model(n).matrix.copy()
+    i = np.arange(n)
+    k[i, (i + 2) % n] = k[(i + 2) % n, i] = 1.0
+    return MetapopModel(np.full(n, 1.0 / n), k)
+
+
+def _grid(rows, cols):
+    n = rows * cols
+    k = np.zeros((n, n))
+    for v in range(n):
+        if (v + 1) % cols:
+            k[v, v + 1] = k[v + 1, v] = 1.0
+        if v + cols < n:
+            k[v, v + cols] = k[v + cols, v] = 1.0
+    return MetapopModel(np.full(n, 1.0 / n), k)
+
+
+class TestSymmetricRoute:
+    """An exactly symmetric K takes the symmetric eigensolver on
+    diag(sqrt(eta)) K diag(sqrt(eta)); it must agree with general QR on
+    K . diag(eta)."""
+
+    def test_radii_agree_with_general_qr(self):
+        rng = np.random.default_rng(81)
+        for _ in range(60):
+            n = int(rng.integers(2, 61))
+            model = _random_symmetric(rng, n)
+            k = model.matrix
+            etas = rng.random((4, n))
+            etas[rng.random((4, n)) < 0.25] = 0.0
+            batch = effective_re_batch(model, etas)
+            for eta, batched in zip(etas, batch):
+                want = _general_radius(k, eta)
+                r = np.sqrt(eta)
+                for got in (
+                    effective_re(model, Strategy(eta)),
+                    batched,
+                    spectral_radius(k * eta),
+                    spectral_radius(np.outer(r, r) * k),
+                ):
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+            decomposition = frobenius_decompose(model)
+            for atom, radius in zip(decomposition.atoms, decomposition.atom_radii):
+                want = _general_radius(k[np.ix_(atom, atom)], 1.0)
+                assert radius == pytest.approx(want, rel=1e-12)
+
+    def test_gradient_agrees_with_general_formula(self):
+        rng = np.random.default_rng(82)
+        checked = 0
+        for _ in range(80):
+            n = int(rng.integers(2, 61))
+            model = _random_symmetric(rng, n)
+            k = model.matrix
+            eta = rng.random(n)
+            eta[rng.random(n) < 0.25] = 0.0
+            try:
+                grad = re_gradient(model, Strategy(eta))
+            except (NonSimple, ZeroRadius):
+                continue
+            effective = k * eta
+            values, vectors = np.linalg.eig(effective)
+            top = int(np.argmax(values.real))
+            v = vectors[:, top].real
+            v = v / v.sum()
+            left_values, left_vectors = np.linalg.eig(effective.T)
+            phi = left_vectors[:, int(np.argmin(np.abs(left_values - values[top])))].real
+            phi = phi / (phi @ v)
+            want = (k.T @ phi) * v
+            np.testing.assert_allclose(grad, want, rtol=0, atol=1e-10 * np.abs(want).max())
+            checked += 1
+        assert checked >= 60
+
+    @pytest.mark.parametrize(
+        "make",
+        [fixtures.cycle_model, lambda: _ring2(30), lambda: _grid(5, 6),
+         lambda: MetapopModel(np.full(1200, 1.0 / 1200), np.zeros((1200, 1200)))],
+        ids=["cycle", "2-ring", "grid", "empty-1200"],
+    )
+    def test_eradicating_radius_is_positive_zero(self, make):
+        model = make()
+        eta = eradication_cost(model, CostFunction.uniform()).strategy
+        values = [
+            effective_re(model, eta),
+            spectral_radius(model.effective_matrix(eta)),
+            *effective_re_batch(model, eta.values[None, :]),
+        ]
+        for value in values:
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    def test_route_takes_no_general_solver(self, monkeypatch):
+        one = MetapopModel(np.array([1.0]), np.array([[3.0]]))
+        assert effective_re(one, Strategy(np.array([0.7]))) == 3.0 * 0.7
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("general eigensolver called")
+
+        caps = []
+        power = spectral._power_block
+
+        def capped(block, cap):
+            caps.append((block.shape[0], cap))
+            return power(block, cap)
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        monkeypatch.setattr(spectral, "_power_block", capped)
+        assert effective_re(fixtures.cycle_model(400), Strategy.ones(400)) == pytest.approx(
+            2.0, abs=1e-12
+        )
+        batch = effective_re_batch(fixtures.cycle_model(), np.ones((3, 12)))
+        np.testing.assert_allclose(batch, 2.0, rtol=0, atol=1e-12)
+        (radius,) = frobenius_decompose(fixtures.cycle_model(300)).atom_radii
+        assert radius == pytest.approx(2.0, abs=1e-12)
+        assert caps == [(400, 400), (300, 300)]
