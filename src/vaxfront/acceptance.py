@@ -571,7 +571,7 @@ def criterion_optimal_ray():
     model = random_convex_model(rng, 4)
     interior = None
     for c in np.linspace(0.05, 0.8, 16):
-        solved = optimal_loss(model, UNIFORM, float(c), convex=True)
+        solved = optimal_loss(model, UNIFORM, float(c))
         peak = solved.strategy.values.max()
         if 0.05 < peak < 0.95:
             interior = solved.strategy
@@ -579,7 +579,7 @@ def criterion_optimal_ray():
     if interior is None:
         failures.append("no interior Pareto point found")
         return failures
-    report = optimal_ray_check(model, UNIFORM, interior, grid=16, tol=1e-6)
+    report = optimal_ray_check(model, UNIFORM, interior)
     for lam, expected, solved_value, ok in zip(
         report.lambdas, report.expected, report.solved, report.passed
     ):

@@ -78,13 +78,17 @@ def _load_input(args) -> MetapopModel:
     raise VaxfrontError("either --model or --grid is required")
 
 
-def _emit(document: dict, out: str | None) -> None:
-    text = json.dumps(document, allow_nan=False)
+def _write(text: str, out: str | None) -> None:
+    """The command's output, to the file ``out`` or else to stdout."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
+
+
+def _emit(document: dict, out: str | None) -> None:
+    _write(json.dumps(document, allow_nan=False) + "\n", out)
 
 
 def _strategy_text(strategy: Strategy) -> str:
@@ -215,12 +219,7 @@ def cmd_frontier(args) -> int:
     for curve in curves:
         for row in _curve_rows(curve):
             lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 

@@ -46,6 +46,8 @@ MULTISTARTS = 16
 VERTEX_BUDGET = 20
 LOSS_ZERO_TOL = 1e-8
 _STARTS_SEED = 7151020
+RAY_GRID = 16
+RAY_TOL = 1e-6
 _FD_STEP = 1e-6
 _BATCH = 65536
 
@@ -240,6 +242,11 @@ class OptimalPoint:
 FrontierPoint = OptimalPoint
 
 
+def _is_convex(model: MetapopModel) -> bool:
+    """Whether ``classify_convexity`` proves R_e convex on the unit box."""
+    return classify_convexity(model).verdict in ("Convex", "Linear")
+
+
 def _min_starts(n: int, project, count: int = MULTISTARTS) -> list[np.ndarray]:
     """The centre, all-ones and all-zeros starts, then seeded random ones."""
     rng = np.random.default_rng(_STARTS_SEED)
@@ -275,7 +282,6 @@ def optimal_loss(
     model: MetapopModel,
     cost_fn: CostFunction,
     c: float,
-    convex: bool | None = None,
     extra_starts: tuple[np.ndarray, ...] = (),
     starts: int = MULTISTARTS,
     max_iter: int = PGD_ITERATION_CAP,
@@ -283,22 +289,19 @@ def optimal_loss(
 ) -> OptimalPoint:
     """Minimize R_e subject to C(eta) <= c.
 
-    Returns an upper bound on the true optimum in general; under a Convex
-    (or Linear) verdict the single-start solution is the global optimum and
-    is labelled Converged.
+    Returns an upper bound on the true optimum in general; when
+    ``classify_convexity`` gives a Convex (or Linear) verdict, the
+    single-start solution is the global optimum and is labelled Converged.
     """
     _check_effort(model.n, extra_starts, starts, max_iter, window_tol)
     cmax, w = _budget(model, cost_fn, c)
     if cmax - c <= 0:
         zero = Strategy.zeros(model.n)
         return OptimalPoint(cost=c, loss=0.0, strategy=zero, status="Converged")
-    if convex is None:
-        verdict = classify_convexity(model).verdict
-        convex = verdict in ("Convex", "Linear")
     erad = eradication_cost(model, cost_fn)
     return _minimize(
-        model, w, cmax - c, c, convex, erad, extra_starts, starts, max_iter,
-        window_tol,
+        model, w, cmax - c, c, _is_convex(model), erad, extra_starts, starts,
+        max_iter, window_tol,
     )
 
 
@@ -386,7 +389,6 @@ def optimal_loss_max(
     model: MetapopModel,
     cost_fn: CostFunction,
     c: float,
-    convex: bool | None = None,
     extra_starts: tuple[np.ndarray, ...] = (),
     starts: int = MULTISTARTS,
     max_iter: int = PGD_ITERATION_CAP,
@@ -394,12 +396,13 @@ def optimal_loss_max(
 ) -> OptimalPoint:
     """Maximize R_e subject to C(eta) >= c.
 
-    Under a Convex verdict the maximum sits at an extreme point of the
-    polytope, and vertex enumeration (at most one fractional coordinate) is
-    exact.  Without convexity the maximum may sit inside the budget face, so
-    the result is the better of the enumeration (up to ``VERTEX_BUDGET``
-    groups) and multi-start projected ascent seeded with the best vertex, a
-    certified lower bound.
+    Under a Convex verdict of ``classify_convexity`` the maximum sits at an
+    extreme point of the polytope, and vertex enumeration (at most one
+    fractional coordinate) is exact.  Without convexity the maximum may sit
+    inside the budget face, so the result is the better of the enumeration
+    (up to ``VERTEX_BUDGET`` groups) and multi-start projected ascent seeded
+    with the best vertex, a certified lower bound.  The verdict is asked for
+    only when an enumeration falls short of R_0.
     """
     n = model.n
     _check_effort(n, extra_starts, starts, max_iter, window_tol)
@@ -413,15 +416,12 @@ def optimal_loss_max(
             status="VertexEnumerated",
         )
     budget = cmax - c  # w . eta <= budget
-    if convex is None:
-        convex = classify_convexity(model).verdict in ("Convex", "Linear")
-
     best = None
     if n <= VERTEX_BUDGET:
         best = _vertex_maximum(model, w, budget)
         r0 = _matrix_re(model, np.ones(n))
         plateau_hit = best[0] >= r0 - 1e-12 * max(1.0, r0)
-        if convex or plateau_hit:
+        if plateau_hit or _is_convex(model):
             # Monotonicity bounds every feasible loss by R_0, so hitting it
             # certifies the enumeration even without convexity.
             return OptimalPoint(
@@ -514,8 +514,7 @@ def pareto_frontier(
     """
     n = model.n
     _check_effort(n, (), starts, max_iter, window_tol, resolution)
-    verdict = classify_convexity(model).verdict
-    convex = verdict in ("Convex", "Linear")
+    convex = _is_convex(model)
     erad = eradication_cost(model, cost_fn)
     cmax, w = _budget(model, cost_fn, 0.0)
     r0 = effective_re(model, Strategy.ones(n))
@@ -588,11 +587,10 @@ def anti_pareto_frontier(
     cmax = c_max(cost_fn, model)
     ceiling, top_strategy = _ceiling_with_witness(model, cost_fn)
     r0 = effective_re(model, Strategy.ones(n))
-    convex = classify_convexity(model).verdict in ("Convex", "Linear")
 
     def solve(c, extra):
         return optimal_loss_max(
-            model, cost_fn, c, convex=convex, extra_starts=extra, starts=starts,
+            model, cost_fn, c, extra_starts=extra, starts=starts,
             max_iter=max_iter, window_tol=window_tol,
         )
 
@@ -629,42 +627,36 @@ def assemble_reducible(
 ) -> AssembledFrontiers:
     """Assemble whole-model frontiers from the per-atom frontiers.
 
-    The anti side is the pointwise maximum over atoms of the per-atom optimal
-    cost (each extended by zero above its own radius, and shifted by the cost
-    of vaccinating everything outside the atom).  The Pareto side assembles
-    the per-atom optimal strategies at target loss min(l, R_0[atom]) on top
-    of full vaccination freedom outside atoms, keeping the quasi-nilpotent
-    remainder entirely non-vaccinated.
+    R_e of a reducible kernel is the largest R_e of its atoms, so both sides
+    follow from the Frobenius decomposition, level by level over a grid of
+    target losses l in [0, R_0].  The anti side is the pointwise maximum over
+    atoms of the per-atom optimal cost (each extended by zero above its own
+    radius, and shifted by the cost of vaccinating everything outside the
+    atom).  On the Pareto side an atom whose radius is at most l needs no
+    vaccination and stays at exactly 1; every other atom takes its own
+    optimal strategy at the budget its Pareto curve gives for l, solved
+    again.  The quasi-nilpotent remainder stays entirely non-vaccinated.
+    An atom's radius is the first point of its Pareto curve.
     """
     _check_effort(model.n, (), starts, max_iter, window_tol, resolution)
-    _, _, atoms, remainder = _atoms(model, 0.0)
+    _, _, atoms, _ = _atoms(model, 0.0)
     if not atoms:
         raise ValidationError("assembly needs at least one atom")
     n = model.n
-    cmax = c_max(cost_fn, model)
     r0 = effective_re(model, Strategy.ones(n))
     coef = cost_fn.coefficient_vector(n)
+    effort = dict(starts=starts, max_iter=max_iter, window_tol=window_tol)
 
     per_atom = []
-    sub_data = []
+    subs = []  # (submodel, its cost function, cost outside the atom, radius)
     for atom in atoms:
         sub_model, sub_cost = _atom_submodel(model, cost_fn, atom)
-        sub_pareto = pareto_frontier(
-            sub_model, sub_cost, resolution,
-            starts=starts, max_iter=max_iter, window_tol=window_tol,
-        )
-        sub_anti = anti_pareto_frontier(
-            sub_model, sub_cost, resolution,
-            starts=starts, max_iter=max_iter, window_tol=window_tol,
-        )
+        sub_pareto = pareto_frontier(sub_model, sub_cost, resolution, **effort)
+        sub_anti = anti_pareto_frontier(sub_model, sub_cost, resolution, **effort)
         outside = sorted(set(range(n)) - set(atom))
         shift = math.fsum((coef[outside] * model.weights[outside]).tolist())
-        radius = effective_re(sub_model, Strategy.ones(len(atom)))
-        convex = classify_convexity(sub_model).verdict in ("Convex", "Linear")
-        sub_data.append(
-            (atom, sub_model, sub_cost, sub_pareto, sub_anti, shift, radius, convex)
-        )
         per_atom.append((atom, sub_pareto, sub_anti))
+        subs.append((sub_model, sub_cost, shift, sub_pareto.points[0].loss))
 
     losses = np.linspace(0.0, r0, resolution + 1)
 
@@ -672,7 +664,7 @@ def assemble_reducible(
     for level in losses:
         best_cost = 0.0
         holder = Strategy.zeros(n)
-        for atom, _, _, _, sub_anti, shift, radius, _ in sub_data:
+        for (atom, _, sub_anti), (_, _, shift, radius) in zip(per_atom, subs):
             if level > radius + 1e-9:
                 continue
             sub_c = sub_anti.cost_at(level)
@@ -693,16 +685,12 @@ def assemble_reducible(
 
     pareto_points = []
     for level in losses:
-        values = np.zeros(n)
-        values[remainder] = 1.0
-        for atom, sub_model, sub_cost, sub_pareto, _, _, radius, convex in sub_data:
-            target = min(float(level), radius)
-            budget = sub_pareto.cost_at(target)
-            solved = optimal_loss(
-                sub_model, sub_cost, budget, convex=convex,
-                starts=starts, max_iter=max_iter, window_tol=window_tol,
-            )
-            values[list(atom)] = solved.strategy.values
+        values = np.ones(n)
+        for (atom, curve, _), (sub_model, sub_cost, _, radius) in zip(per_atom, subs):
+            if level < radius:
+                budget = curve.cost_at(float(level))
+                solved = optimal_loss(sub_model, sub_cost, budget, **effort)
+                values[list(atom)] = solved.strategy.values
         strategy = Strategy(values)
         pareto_points.append(
             FrontierPoint(
@@ -733,24 +721,21 @@ def optimal_ray_check(
     model: MetapopModel,
     cost_fn: CostFunction,
     eta_star: Strategy,
-    grid: int = 16,
-    tol: float = 1e-6,
 ) -> RayCheckReport:
     """Verify Pareto membership of the whole ray of scaled optima.
 
     With an affine decreasing cost and convex R_e, a Pareto optimum eta_star
     with max entry strictly inside (0, 1) generates Pareto optima
-    lambda * eta_star for lambda in [0, 1/max(eta_star)]; each grid point is
-    checked by value matching against the solved optimum at equal budget.
+    lambda * eta_star for lambda in [0, 1/max(eta_star)]; each of
+    ``RAY_GRID`` evenly spaced lambdas passes when the solved optimum at
+    equal budget matches R_e of the scaled point within ``RAY_TOL``.
     """
-    _check_int("grid", grid, 2)
-    verdict = classify_convexity(model).verdict
-    if verdict not in ("Convex", "Linear"):
+    if not _is_convex(model):
         raise PreconditionFailed("ray check needs a Convex or Linear verdict")
     peak = float(eta_star.values.max())
     if not 0.0 < peak < 1.0:
         raise PreconditionFailed("ray check needs max(eta_star) strictly in (0, 1)")
-    lambdas = np.linspace(0.0, 1.0 / peak, grid)
+    lambdas = np.linspace(0.0, 1.0 / peak, RAY_GRID)
     expected = []
     solved = []
     passed = []
@@ -758,12 +743,10 @@ def optimal_ray_check(
         scaled = Strategy(np.clip(lam * eta_star.values, 0.0, 1.0))
         budget = cost(cost_fn, model, scaled)
         target = effective_re(model, scaled)
-        answer = optimal_loss(
-            model, cost_fn, budget, convex=True, extra_starts=(scaled.values,)
-        )
+        answer = optimal_loss(model, cost_fn, budget, extra_starts=(scaled.values,))
         expected.append(target)
         solved.append(answer.loss)
-        passed.append(abs(answer.loss - target) <= tol)
+        passed.append(abs(answer.loss - target) <= RAY_TOL)
     return RayCheckReport(
         lambdas=tuple(float(x) for x in lambdas),
         expected=tuple(expected),
@@ -790,22 +773,18 @@ def feasible_region_sample(
     rng = np.random.default_rng(seed)
     etas = [rng.random((samples, n))]
     if n <= 12:
+        # One 81-row block per base and coordinate pair; the pairs (i, i)
+        # give the one-coordinate deviations and the bases themselves.
         grid = np.linspace(0.0, 1.0, 9)
-        family = set()
+        gi, gj = np.repeat(grid, 9), np.tile(grid, 9)
+        blocks = []
         for base_value in (0.0, 1.0):
-            base = np.full(n, base_value)
-            family.add(tuple(base))
-            for i in range(n):
-                for gi in grid:
-                    one = base.copy()
-                    one[i] = gi
-                    family.add(tuple(one))
-                    for j in range(i + 1, n):
-                        for gj in grid:
-                            two = one.copy()
-                            two[j] = gj
-                            family.add(tuple(two))
-        etas.append(np.array(sorted(family)))
+            for i, j in itertools.combinations_with_replacement(range(n), 2):
+                block = np.full((81, n), base_value)
+                block[:, i] = gi
+                block[:, j] = gj
+                blocks.append(block)
+        etas.append(np.unique(np.vstack(blocks), axis=0))
     stacked = np.vstack(etas)
     losses = effective_re_batch(model, stacked)
     w = cost_fn.coefficient_vector(n) * model.weights

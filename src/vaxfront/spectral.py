@@ -22,9 +22,11 @@ Three routes are kept deliberately:
   block whose bracket contracts too slowly to close within the iteration
   cap (n steps for a symmetric block, whose eigensolver is cheap) leaves
   the loop early for the dense eigensolver.
-* ``full_spectrum`` reduces to Hessenberg form and runs shifted QR (LAPACK
-  via ``numpy.linalg.eigvals``); it serves as the dense route for other
-  models and as the cross-check oracle in the tests.
+* Every other model takes dense QR (LAPACK via ``numpy.linalg.eigvals``)
+  in ``_dense_radius`` up to ``_DENSE_CUTOFF`` groups, and
+  ``spectral_radius`` above it.  ``full_spectrum`` runs the same QR for all
+  N eigenvalues and their clusters; it is the spectrum behind ``inertia``
+  and the cross-check oracle in the criteria and the tests.
 
 Exactly nilpotent input is recognized by a boolean cycle test on the
 support, giving a radius of exactly zero; on the symmetric route a top

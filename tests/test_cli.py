@@ -250,6 +250,17 @@ class TestFrontier:
         assert all(len(point) == 2 for point in doc["feasible"])
 
 
+class TestOutFile:
+    @pytest.mark.parametrize("argv", [["cstar"], ["frontier", "--resolution", "4"]])
+    def test_file_holds_the_printed_bytes(self, capsys, two_block_path, tmp_path, argv):
+        argv = argv + ["--model", two_block_path]
+        out_path = tmp_path / "out.txt"
+        _, printed, _ = run(capsys, argv)
+        code, silent, _ = run(capsys, argv + ["--out", str(out_path)])
+        assert (code, silent) == (0, "")
+        assert out_path.read_bytes() == printed.encode("utf-8")
+
+
 class TestSample:
     def test_deterministic(self, capsys, two_block_path):
         argv = ["sample", "--model", two_block_path, "--samples", "25", "--seed", "3"]

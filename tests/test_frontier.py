@@ -28,7 +28,12 @@ from vaxfront import (
     probe_convexity,
 )
 from vaxfront import fixtures, frontier
-from vaxfront.acceptance import random_convex_model, random_model, random_rank_one
+from vaxfront.acceptance import (
+    random_block_upper_model,
+    random_convex_model,
+    random_model,
+    random_rank_one,
+)
 from vaxfront.frontier import _project_budget, _vertex_maximum
 
 UNIFORM = CostFunction.uniform()
@@ -174,9 +179,6 @@ class TestEffortCheck:
             (lambda: optimal_loss_max(
                 _cycle(), UNIFORM, 0.25, extra_starts=(np.full(12, np.nan),)
             ), ValidationError),
-            (lambda: optimal_ray_check(
-                fixtures.positive_definite_model(), UNIFORM, Strategy(_half(3)), grid=-1
-            ), ValidationError),
             (lambda: pareto_frontier(_cycle(), UNIFORM, resolution=2.5), ValidationError),
             (lambda: optimal_loss(_cycle(), UNIFORM, 0.25, max_iter=-1), ValidationError),
             (lambda: optimal_loss(_cycle(), UNIFORM, 0.25, starts=-2), ValidationError),
@@ -187,7 +189,7 @@ class TestEffortCheck:
         ],
         ids=[
             "anti-without-starts", "min-short-start", "max-long-start", "min-nan-start",
-            "max-nan-start", "ray-negative-grid", "fractional-resolution",
+            "max-nan-start", "fractional-resolution",
             "negative-max-iter", "negative-starts", "nan-window-tol",
             "assembly-negative-window-tol",
         ],
@@ -515,6 +517,18 @@ class TestSandwichAndInverses:
             assert value < anti.loss_at(c) - 1e-6
 
 
+REDUCIBLE_EFFORT = dict(resolution=4, starts=3, max_iter=80, window_tol=3e-7)
+
+
+def _reducible_draw(trial):
+    """Model ``trial`` of the ``reducibility`` criterion's draws."""
+    rng = np.random.default_rng(8)
+    for _ in range(trial + 1):
+        model, _ = random_block_upper_model(rng)
+        rng.random(model.n)  # the criterion's strategy draw
+    return model
+
+
 class TestAssembleReducible:
     def test_two_blocks_match_direct(self):
         k = np.zeros((4, 4))
@@ -547,6 +561,42 @@ class TestAssembleReducible:
         for point in direct.points:
             assert abs(assembled.pareto.loss_at(point.cost) - point.loss) <= slack
 
+    @pytest.mark.parametrize("trial", [10, 18, 25])
+    def test_top_point_is_exactly_unvaccinated(self, trial):
+        # The top level is R_0, at or above every atom's radius.  On these
+        # draws a solve at budget 0 returns entries of 1 - 1 ulp from the
+        # projection's rounding, so no atom may be solved there.
+        model = _reducible_draw(trial)
+        top = assemble_reducible(model, UNIFORM, **REDUCIBLE_EFFORT).pareto.points[0]
+        assert top.cost == 0.0
+        np.testing.assert_array_equal(top.strategy.values, np.ones(model.n))
+
+    @pytest.mark.parametrize("trial", [0, 3, 10, 18])
+    def test_solves_only_atoms_above_the_level(self, monkeypatch, trial):
+        # Each (level, atom) pair with level < radius is solved once, in
+        # level order; every other atom keeps exactly 1.
+        solved = []
+
+        def counted(*args, _original=frontier.optimal_loss, **kw):
+            solved.append(_original(*args, **kw))
+            return solved[-1]
+
+        monkeypatch.setattr(frontier, "optimal_loss", counted)
+        model = _reducible_draw(trial)
+        assembled = assemble_reducible(model, UNIFORM, **REDUCIBLE_EFFORT)
+        r0 = effective_re(model, Strategy.ones(model.n))
+        answers = iter(solved)
+        expected = []
+        for level in np.linspace(0.0, r0, REDUCIBLE_EFFORT["resolution"] + 1):
+            values = np.ones(model.n)
+            for atom, sub_pareto, _ in assembled.per_atom:
+                if level < sub_pareto.points[0].loss:
+                    values[list(atom)] = next(answers).strategy.values
+            expected.append(values.tobytes())
+        assert next(answers, None) is None
+        got = [p.strategy.values.tobytes() for p in assembled.pareto.points]
+        assert sorted(got) == sorted(expected)
+
     def test_remainder_kept_unvaccinated(self):
         # One atom {1} with a self-loop plus quasi-nilpotent remainder {0}.
         k = np.array([[0.0, 1.0], [0.0, 2.0]])
@@ -559,9 +609,9 @@ class TestAssembleReducible:
 class TestOptimalRay:
     def test_psd_model_ray(self):
         model = fixtures.positive_definite_model()
-        solved = optimal_loss(model, UNIFORM, 0.3, convex=True)
+        solved = optimal_loss(model, UNIFORM, 0.3)
         assert 0.0 < solved.strategy.values.max() < 1.0
-        report = optimal_ray_check(model, UNIFORM, solved.strategy, grid=16, tol=1e-6)
+        report = optimal_ray_check(model, UNIFORM, solved.strategy)
         assert report.all_passed
         assert report.expected[0] == pytest.approx(0.0, abs=1e-12)
         assert report.lambdas[-1] == pytest.approx(
@@ -608,6 +658,34 @@ class TestFeasibleRegionSample:
         model = scalar_model(2.0)
         for c, loss in feasible_region_sample(model, UNIFORM, samples=100, seed=1):
             assert loss == pytest.approx(2.0 * (1.0 - c), abs=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_grid_family_matches_double_loop(self, monkeypatch, n):
+        grid = np.linspace(0.0, 1.0, 9)
+        family = set()
+        for base_value in (0.0, 1.0):
+            base = np.full(n, base_value)
+            family.add(tuple(base))
+            for i in range(n):
+                for gi in grid:
+                    one = base.copy()
+                    one[i] = gi
+                    family.add(tuple(one))
+                    for j in range(i + 1, n):
+                        for gj in grid:
+                            two = one.copy()
+                            two[j] = gj
+                            family.add(tuple(two))
+        stacked = []
+
+        def captured(model, etas):
+            stacked.append(etas)
+            return np.zeros(len(etas))
+
+        monkeypatch.setattr(frontier, "effective_re_batch", captured)
+        model = MetapopModel(weights=np.full(n, 1.0 / n), matrix=np.ones((n, n)))
+        feasible_region_sample(model, UNIFORM, samples=1, seed=0)
+        np.testing.assert_array_equal(stacked[0][1:], np.array(sorted(family)))
 
     def test_two_block_plateau_visible(self):
         model = fixtures.two_block_model()
@@ -695,7 +773,7 @@ class TestNonTrivialConvexRay:
         model = random_convex_model(rng, 4)
         interior = None
         for c in np.linspace(0.1, 0.7, 13):
-            solved = optimal_loss(model, UNIFORM, float(c), convex=True)
+            solved = optimal_loss(model, UNIFORM, float(c))
             peak = solved.strategy.values.max()
             if 0.05 < peak < 0.95:
                 interior = solved.strategy
@@ -703,7 +781,7 @@ class TestNonTrivialConvexRay:
         assert interior is not None
         spread = interior.values.max() - interior.values.min()
         assert spread > 1e-4  # genuinely non-uniform optimum
-        report = optimal_ray_check(model, UNIFORM, interior, grid=12, tol=1e-6)
+        report = optimal_ray_check(model, UNIFORM, interior)
         assert report.all_passed
 
 
