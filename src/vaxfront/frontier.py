@@ -12,9 +12,12 @@ a polytope vertex with at most one fractional coordinate, enumerated exactly
 up to 20 groups; otherwise the better of the enumeration and multi-start
 projected ascent is reported as a certified lower bound.
 
-Both sides share one budget check, one multistart loop and one monotone
-sweep, which warm-starts each budget from the previous point and keeps that
-point when a solve does worse.
+Each side's public single-budget solve is its checks plus one driver,
+``_minimize`` or ``_maximize``; each sweep computes its invariants once and
+calls the driver.  Both sides share one budget check, one multistart loop
+and one monotone sweep, which warm-starts each budget from the previous
+point and keeps that point when a solve does worse.  The reducible assembly
+builds both sides from strategies: each point is the cost and R_e of its own.
 """
 
 from __future__ import annotations
@@ -331,58 +334,48 @@ def _minimize(model, w, b, c, convex, erad, extra_starts, starts, max_iter,
     )
 
 
-def _maximal_vertices(w: np.ndarray, budget: float):
-    """Yield the maximal vertices of {eta in [0,1]^N : w . eta <= budget}.
-
-    These are 0/1 corners that cannot take another full coordinate, plus
-    corners topped off with a single fractional coordinate sitting exactly on
-    the budget hyperplane.  Monotonicity of R_e makes them sufficient for the
-    maximum; convexity makes the enumeration exact.
-    """
-    n = w.size
-    order = np.argsort(-w, kind="stable")  # heaviest first for earlier pruning
-    eps = 1e-15
-
-    def rec(pos: int, chosen: list, spent: float):
-        rem = budget - spent
-        for k in range(pos, n):
-            j = int(order[k])
-            if w[j] <= rem + eps:
-                chosen.append(j)
-                yield from rec(k + 1, chosen, spent + w[j])
-                chosen.pop()
-        in_set = set(chosen)
-        outside = [j for j in range(n) if j not in in_set]
-        # A corner topped off with one fractional coordinate exhausts the
-        # budget exactly, hence is always a maximal vertex; plain corners are
-        # maximal only when nothing else fits.
-        emitted = False
-        if rem > eps:
-            for j in outside:
-                if w[j] > rem + eps:
-                    eta = np.zeros(n)
-                    eta[chosen] = 1.0
-                    eta[j] = min(1.0, rem / w[j])
-                    emitted = True
-                    yield eta
-        if not emitted and not any(w[j] <= rem + eps for j in outside):
-            eta = np.zeros(n)
-            eta[chosen] = 1.0
-            yield eta
-
-    yield from rec(0, [], 0.0)
-
-
 def _vertex_maximum(model, w, budget):
-    """Best (loss, eta) over the maximal vertices of {w . eta <= budget}."""
+    """Best (loss, eta) over the maximal vertices of {w . eta <= budget}.
+
+    The 0/1 corners grow one coordinate at a time in the stable heaviest-first
+    order; a corner takes coordinate j when w_j <= (budget - spent) + 1e-15,
+    ``spent`` summed in that order.  A maximal vertex is a corner topped off
+    with one coordinate that does not fit whole, at the fraction that
+    exhausts the budget, or a plain corner with no such top-up, into which
+    no coordinate fits.  Monotonicity of R_e makes them sufficient for the
+    maximum, convexity makes the enumeration exact.  Rows are scored in
+    blocks of at most ``_BATCH``; ties go as in ``_better``.
+    """
+    n, eps = w.size, 1e-15
+    corners = np.zeros((1, n), dtype=bool)
+    spent = np.zeros(1)
+    for j in np.argsort(-w, kind="stable"):
+        # Each corner that takes j is followed by its copy without j.
+        fits = w[j] <= (budget - spent) + eps
+        grown = np.flatnonzero(fits) + np.cumsum(fits)[fits] - 1
+        corners = np.repeat(corners, fits + 1, axis=0)
+        spent = np.repeat(spent, fits + 1)
+        corners[grown, j] = True
+        spent[grown] += w[j]
     best = None
-    vertices = _maximal_vertices(w, budget)
-    while chunk := list(itertools.islice(vertices, _BATCH)):
-        values = effective_re_batch(model, np.array(chunk))
-        for value, eta in zip(values, chunk):
-            if _better(best, (float(value), eta), maximize=True):
-                best = (float(value), eta)
-    return best if best is not None else (0.0, np.zeros(model.n))
+    step = _BATCH // n
+    for lo in range(0, len(corners), step):
+        inside = corners[lo:lo + step]
+        rem = budget - spent[lo:lo + step, None]
+        over = ~inside & (w > rem + eps)
+        topped = over & (rem > eps)
+        plain = ~topped.any(axis=1) & (inside | over).all(axis=1)
+        k, j = np.nonzero(np.column_stack((topped, plain)))
+        rows = inside[k].astype(float)
+        frac = j < n
+        rows[frac, j[frac]] = np.minimum(1.0, rem[k[frac], 0] / w[j[frac]])
+        values = effective_re_batch(model, rows)
+        i = min(np.flatnonzero(values == values.max()),
+                key=lambda r: _round_key(rows[r]))
+        candidate = (float(values[i]), rows[i].copy())
+        if _better(best, candidate, maximize=True):
+            best = candidate
+    return best
 
 
 def optimal_loss_max(
@@ -396,40 +389,39 @@ def optimal_loss_max(
 ) -> OptimalPoint:
     """Maximize R_e subject to C(eta) >= c.
 
-    Under a Convex verdict of ``classify_convexity`` the maximum sits at an
-    extreme point of the polytope, and vertex enumeration (at most one
-    fractional coordinate) is exact.  Without convexity the maximum may sit
-    inside the budget face, so the result is the better of the enumeration
-    (up to ``VERTEX_BUDGET`` groups) and multi-start projected ascent seeded
-    with the best vertex, a certified lower bound.  The verdict is asked for
-    only when an enumeration falls short of R_0.
+    The checks and the two ends (R_0 at all ones for c <= 0, the zero
+    strategy for c = c_max), then ``_maximize``.  Under a Convex verdict of
+    ``classify_convexity`` the maximum sits at an extreme point of the
+    polytope, and vertex enumeration (at most one fractional coordinate) is
+    exact.  Without convexity the maximum may sit inside the budget face, so
+    the result is the better of the enumeration (up to ``VERTEX_BUDGET``
+    groups) and multi-start projected ascent seeded with the best vertex, a
+    certified lower bound.
     """
-    n = model.n
-    _check_effort(n, extra_starts, starts, max_iter, window_tol)
+    _check_effort(model.n, extra_starts, starts, max_iter, window_tol)
     cmax, w = _budget(model, cost_fn, c)
+    ones = Strategy.ones(model.n)
+    r0 = effective_re(model, ones)
     if c <= 0:
-        ones = Strategy.ones(n)
-        return OptimalPoint(
-            cost=c,
-            loss=effective_re(model, ones),
-            strategy=ones,
-            status="VertexEnumerated",
-        )
-    budget = cmax - c  # w . eta <= budget
+        return OptimalPoint(cost=c, loss=r0, strategy=ones, status="VertexEnumerated")
+    if cmax - c <= 0:  # all zeros is the only feasible strategy
+        return OptimalPoint(c, 0.0, Strategy.zeros(model.n), "VertexEnumerated")
+    return _maximize(
+        model, w, cmax - c, c, r0, _is_convex(model), extra_starts, starts,
+        max_iter, window_tol,
+    )
+
+
+def _maximize(model, w, budget, c, r0, convex, extra_starts, starts, max_iter,
+              window_tol) -> OptimalPoint:
+    """``optimal_loss_max`` after its checks, on {w . eta <= budget} with budget > 0."""
     best = None
-    if n <= VERTEX_BUDGET:
+    if model.n <= VERTEX_BUDGET:
         best = _vertex_maximum(model, w, budget)
-        r0 = _matrix_re(model, np.ones(n))
-        plateau_hit = best[0] >= r0 - 1e-12 * max(1.0, r0)
-        if plateau_hit or _is_convex(model):
-            # Monotonicity bounds every feasible loss by R_0, so hitting it
-            # certifies the enumeration even without convexity.
-            return OptimalPoint(
-                cost=c,
-                loss=best[0],
-                strategy=Strategy(best[1]),
-                status="VertexEnumerated",
-            )
+        # Monotonicity bounds every feasible loss by R_0, so hitting it
+        # certifies the enumeration even without convexity.
+        if convex or best[0] >= r0 - 1e-12 * max(1.0, r0):
+            return OptimalPoint(c, best[0], Strategy(best[1]), "VertexEnumerated")
 
     def project(x):
         return _project_budget(x, w, budget, "le")
@@ -437,7 +429,7 @@ def optimal_loss_max(
     start_points = [project(np.asarray(s, dtype=float)) for s in extra_starts]
     if best is not None:
         start_points.append(best[1])
-    start_points += _min_starts(n, project, starts)
+    start_points += _min_starts(model.n, project, starts)
     best = _multistart(model, project, start_points, True, best, max_iter, window_tol)
     return OptimalPoint(
         cost=c, loss=float(best[0]), strategy=Strategy(best[1]), status="MultiStartBest"
@@ -580,18 +572,20 @@ def anti_pareto_frontier(
 
     The previous optimum stays feasible as the budget decreases and is
     carried along as an extra ascent start, making the reported curve
-    monotone.
+    monotone.  The convexity verdict, R_0 and the budget halfspace are
+    computed once.
     """
     n = model.n
     _check_effort(n, (), starts, max_iter, window_tol, resolution)
-    cmax = c_max(cost_fn, model)
+    convex = _is_convex(model)
+    cmax, w = _budget(model, cost_fn, 0.0)
     ceiling, top_strategy = _ceiling_with_witness(model, cost_fn)
     r0 = effective_re(model, Strategy.ones(n))
 
     def solve(c, extra):
-        return optimal_loss_max(
-            model, cost_fn, c, extra_starts=extra, starts=starts,
-            max_iter=max_iter, window_tol=window_tol,
+        return _maximize(
+            model, w, cmax - c, c, r0, convex, extra, starts, max_iter,
+            window_tol,
         )
 
     budgets = [
@@ -629,14 +623,17 @@ def assemble_reducible(
 
     R_e of a reducible kernel is the largest R_e of its atoms, so both sides
     follow from the Frobenius decomposition, level by level over a grid of
-    target losses l in [0, R_0].  The anti side is the pointwise maximum over
-    atoms of the per-atom optimal cost (each extended by zero above its own
-    radius, and shifted by the cost of vaccinating everything outside the
-    atom).  On the Pareto side an atom whose radius is at most l needs no
-    vaccination and stays at exactly 1; every other atom takes its own
+    target losses l in [0, R_0].  Each side builds one strategy per level and
+    reports (C(s), R_e(s), s).  On the anti side, the atom that maximizes its
+    own anti-Pareto cost at l (extended by zero above its radius, and shifted
+    by the cost of vaccinating everything outside the atom) is solved again
+    with ``optimal_loss_max`` at that cost, and everything outside it is
+    vaccinated.  On the Pareto side an atom whose radius is at most l needs
+    no vaccination and stays at exactly 1; every other atom takes its own
     optimal strategy at the budget its Pareto curve gives for l, solved
-    again.  The quasi-nilpotent remainder stays entirely non-vaccinated.
-    An atom's radius is the first point of its Pareto curve.
+    again with ``optimal_loss``, and the quasi-nilpotent remainder stays
+    entirely non-vaccinated.  An atom's radius is the first point of its
+    Pareto curve.
     """
     _check_effort(model.n, (), starts, max_iter, window_tol, resolution)
     _, _, atoms, _ = _atoms(model, 0.0)
@@ -658,51 +655,40 @@ def assemble_reducible(
         per_atom.append((atom, sub_pareto, sub_anti))
         subs.append((sub_model, sub_cost, shift, sub_pareto.points[0].loss))
 
-    losses = np.linspace(0.0, r0, resolution + 1)
+    def curve(strategies, kind):
+        points = [
+            FrontierPoint(cost(cost_fn, model, s), effective_re(model, s), s,
+                          "MultiStartBest")
+            for s in strategies
+        ]
+        points.sort(key=lambda p: (p.cost, -p.loss))
+        return FrontierCurve(tuple(points), kind, resolution)
 
-    anti_points = []
-    for level in losses:
-        best_cost = 0.0
-        holder = Strategy.zeros(n)
-        for (atom, _, sub_anti), (_, _, shift, radius) in zip(per_atom, subs):
-            if level > radius + 1e-9:
-                continue
-            sub_c = sub_anti.cost_at(level)
-            total = shift + sub_c
-            if total >= best_cost:
-                best_cost = total
-                values = np.zeros(n)
-                sub_point = min(
-                    sub_anti.points, key=lambda p: abs(p.cost - sub_c)
-                )
-                values[list(atom)] = sub_point.strategy.values
-                holder = Strategy(values)
-        anti_points.append(
-            FrontierPoint(best_cost, float(level), holder, "MultiStartBest")
-        )
-    anti_points.sort(key=lambda p: (p.cost, -p.loss))
-    anti = FrontierCurve(tuple(anti_points), "AntiPareto", resolution)
-
-    pareto_points = []
-    for level in losses:
+    pareto, anti = [], []
+    for level in np.linspace(0.0, r0, resolution + 1):
         values = np.ones(n)
-        for (atom, curve, _), (sub_model, sub_cost, _, radius) in zip(per_atom, subs):
+        best_cost, chosen = 0.0, None
+        for (atom, sub_pareto, sub_anti), (sub_model, sub_cost, shift, radius) in zip(
+            per_atom, subs
+        ):
             if level < radius:
-                budget = curve.cost_at(float(level))
+                budget = sub_pareto.cost_at(float(level))
                 solved = optimal_loss(sub_model, sub_cost, budget, **effort)
                 values[list(atom)] = solved.strategy.values
-        strategy = Strategy(values)
-        pareto_points.append(
-            FrontierPoint(
-                cost(cost_fn, model, strategy),
-                effective_re(model, strategy),
-                strategy,
-                "MultiStartBest",
-            )
-        )
-    pareto_points.sort(key=lambda p: (p.cost, -p.loss))
-    pareto = FrontierCurve(tuple(pareto_points), "Pareto", resolution)
-    return AssembledFrontiers(pareto=pareto, anti=anti, per_atom=tuple(per_atom))
+            sub_c = sub_anti.cost_at(level)
+            # At the top level, R_0 and the largest radius differ by rounding.
+            if level <= radius + 1e-9 * max(1.0, r0) and shift + sub_c >= best_cost:
+                best_cost, chosen = shift + sub_c, (atom, sub_model, sub_cost, sub_c)
+        atom, sub_model, sub_cost, sub_c = chosen
+        solved = optimal_loss_max(sub_model, sub_cost, sub_c, **effort)
+        anti_values = np.zeros(n)
+        anti_values[list(atom)] = solved.strategy.values
+        pareto.append(Strategy(values))
+        anti.append(Strategy(anti_values))
+    return AssembledFrontiers(
+        pareto=curve(pareto, "Pareto"), anti=curve(anti, "AntiPareto"),
+        per_atom=tuple(per_atom),
+    )
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,10 @@ Three routes are kept deliberately:
   N eigenvalues and their clusters; it is the spectrum behind ``inertia``
   and the cross-check oracle in the criteria and the tests.
 
-Exactly nilpotent input is recognized by a boolean cycle test on the
-support, giving a radius of exactly zero; on the symmetric route a top
+Input with an acyclic support has a radius of exactly zero on every route:
+``spectral_radius`` condenses it into one-group blocks with zero loops, and
+the balancing step of LAPACK's QR permutes it to triangular form, so
+``eigvals`` returns its zero diagonal.  On the symmetric route a top
 eigenvalue that is not positive gives +0.0.
 """
 
@@ -58,7 +60,6 @@ _DENSE_CUTOFF = 48  # per block and per effective_re model: LAPACK wins up to he
 _STALL_CHECK = 64  # power iterations between two measures of the bracket
 
 CLUSTER_TOL = 1e-8  # times max(1, rho): QR backward-error scale
-ZERO_TOL = 1e-8  # times max(1, rho): threshold for signing eigenvalues
 RESIDUAL_TOL = 1e-10  # times max(lambda, 1): eigenpair residual bound
 SIMPLE_GAP_TOL = 1e-8  # times rho: gap defining a numerically simple root
 
@@ -156,17 +157,6 @@ def spectral_radius(a: np.ndarray) -> float:
     m = _validate_square(a, nonnegative=True)
     _, sccs = support_components(m)
     return max(_block_radius(m[np.ix_(comp, comp)]) for comp in sccs)
-
-
-def _support_nilpotent(mats: np.ndarray) -> np.ndarray:
-    """For a (B, N, N) nonnegative stack, flag matrices with acyclic support."""
-    reach = mats > 0
-    n = mats.shape[-1]
-    length = 1
-    while length < n:
-        reach = reach | np.matmul(reach, reach)
-        length *= 2
-    return ~reach.diagonal(axis1=-2, axis2=-1).any(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -289,8 +279,8 @@ def effective_re_batch(model: MetapopModel, etas: np.ndarray) -> np.ndarray:
 
     A symmetric model takes one stacked ``eigvalsh`` of the symmetrized
     matrices, whose radius is zero only for the zero matrix.  Any other model
-    takes one batched QR spectrum call, with exactly-nilpotent support zeroed
-    out via the boolean cycle test.  A LAPACK failure on any row raises
+    takes one batched QR spectrum call, which gives exactly zero on a row
+    whose effective support is acyclic.  A LAPACK failure on any row raises
     ``NonConvergence``.  Rows are checked as ``Strategy`` checks its values.
     The certified iterative route remains ``spectral_radius``.
     """
@@ -304,11 +294,9 @@ def effective_re_batch(model: MetapopModel, etas: np.ndarray) -> np.ndarray:
             top = np.linalg.eigvalsh(_symmetrized(model, etas))[:, -1]
             return np.where(top > 0.0, top, 0.0)
         mats = model.matrix[None, :, :] * etas[:, None, :]
-        rho = np.abs(np.linalg.eigvals(mats)).max(axis=-1)
+        return np.abs(np.linalg.eigvals(mats)).max(axis=-1)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"batched eigensolver did not converge: {exc}") from exc
-    rho[_support_nilpotent(mats)] = 0.0
-    return rho
 
 
 @dataclass(frozen=True)

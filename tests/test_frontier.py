@@ -19,6 +19,7 @@ from vaxfront import (
     c_max,
     cost,
     effective_re,
+    effective_re_batch,
     feasible_region_sample,
     inefficiency_ceiling,
     optimal_loss,
@@ -124,6 +125,15 @@ class TestOptimalLossMax:
         solved = optimal_loss_max(fixtures.cycle_model(), UNIFORM, 0.25)
         assert solved.loss == pytest.approx(2.0 * math.cos(math.pi / 10.0), abs=1e-9)
 
+    def test_full_budget_returns_zero(self):
+        # Only all zeros meets C(eta) >= c_max; an ascent on the budget face
+        # would leave entries of 1e-16 behind on these non-convex models.
+        for seed in (3, 9):
+            model = random_model(np.random.default_rng(seed), 4)
+            solved = optimal_loss_max(model, UNIFORM, c_max(UNIFORM, model))
+            assert solved.loss == 0.0
+            np.testing.assert_array_equal(solved.strategy.values, np.zeros(4))
+
     def test_vertex_budget(self, monkeypatch):
         rng = np.random.default_rng(52)
         w = 0.2 + rng.random(21)
@@ -145,6 +155,70 @@ class TestOptimalLossMax:
         vertex_loss, _ = _vertex_maximum(model, w, 0.75)
         solved = optimal_loss_max(model, UNIFORM, 0.25)
         assert vertex_loss <= solved.loss <= vertex_loss + 1e-9
+
+
+def _reference_vertex_maximum(model, w, budget):
+    """``_vertex_maximum`` by exhaustion over all 2^n corners.
+
+    A corner fits when each of its coordinates, taken in the stable
+    heaviest-first order, fits what the budget leaves within 1e-15; its
+    top-ups and plain form are as the docstring defines them, and the best
+    row is kept with ``_better``.
+    """
+    n, eps = w.size, 1e-15
+    order = np.argsort(-w, kind="stable")
+    rows = []
+    for bits in itertools.product((False, True), repeat=n):
+        inside = np.array(bits)
+        spent, fits = 0.0, True
+        for j in order:
+            if inside[j]:
+                fits = fits and w[j] <= (budget - spent) + eps
+                spent += w[j]
+        if not fits:
+            continue
+        rem = budget - spent
+        outside = [j for j in range(n) if not inside[j]]
+        topped = [j for j in outside if w[j] > rem + eps] if rem > eps else []
+        for j in topped:
+            row = inside.astype(float)
+            row[j] = min(1.0, rem / w[j])
+            rows.append(row)
+        if not topped and all(w[j] > rem + eps for j in outside):
+            rows.append(inside.astype(float))
+    best = None
+    for value, row in zip(effective_re_batch(model, np.array(rows)), rows):
+        if frontier._better(best, (float(value), row), maximize=True):
+            best = (float(value), row)
+    return best
+
+
+class TestVertexMaximum:
+    def test_matches_exhaustive_reference(self):
+        # Tied weights (uniform and 1/16-rounded) and budgets at exact corner
+        # sums put coordinates right on the fitting threshold.
+        rng = np.random.default_rng(60)
+        for trial in range(90):
+            n = int(rng.integers(1, 8))
+            w = [
+                np.full(n, 1.0 / n),
+                (1.0 + np.round(rng.random(n) * 15.0)) / 16.0 / n,
+                (0.05 + rng.random(n)) / n,
+            ][trial % 3]
+            if trial % 2:
+                budget = 0.0
+                for j in np.argsort(-w, kind="stable")[rng.random(n) < 0.5]:
+                    budget += w[j]
+            else:
+                budget = float(rng.uniform(0.0, w.sum()))
+            k = rng.random((n, n))
+            model = MetapopModel(
+                weights=np.full(n, 1.0 / n), matrix=k + k.T if trial % 4 < 2 else k
+            )
+            got = _vertex_maximum(model, w, budget)
+            want = _reference_vertex_maximum(model, w, budget)
+            assert got[0] == want[0]
+            assert got[1].tobytes() == want[1].tobytes()
 
 
 class TestBudgetCheck:
@@ -341,7 +415,12 @@ class TestMultistart:
 
 
 class TestParetoFrontier:
-    def test_invariants_computed_once_per_sweep(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "sweep, erad_calls",
+        [(pareto_frontier, 1), (anti_pareto_frontier, 0)],
+        ids=["pareto", "anti"],
+    )
+    def test_invariants_computed_once_per_sweep(self, monkeypatch, sweep, erad_calls):
         calls = {"eradication_cost": 0, "classify_convexity": 0}
         for name in calls:
 
@@ -350,8 +429,8 @@ class TestParetoFrontier:
                 return _original(*args, **kw)
 
             monkeypatch.setattr(frontier, name, counted)
-        pareto_frontier(fixtures.cycle_model(), UNIFORM, resolution=8)
-        assert calls == {"eradication_cost": 1, "classify_convexity": 1}
+        sweep(fixtures.cycle_model(), UNIFORM, resolution=8)
+        assert calls == {"eradication_cost": erad_calls, "classify_convexity": 1}
 
     def test_scalar_segment(self):
         curve = pareto_frontier(scalar_model(3.0), UNIFORM, resolution=8)
@@ -597,6 +676,25 @@ class TestAssembleReducible:
         got = [p.strategy.values.tobytes() for p in assembled.pareto.points]
         assert sorted(got) == sorted(expected)
 
+    def test_points_are_their_strategies(self):
+        # Both sides print (C(s), R_e(s), s) for the strategy s they report.
+        for trial in range(40):
+            model = _reducible_draw(trial)
+            assembled = assemble_reducible(model, UNIFORM, **REDUCIBLE_EFFORT)
+            for point in assembled.pareto.points + assembled.anti.points:
+                assert point.cost == cost(UNIFORM, model, point.strategy)
+                assert point.loss == effective_re(model, point.strategy)
+
+    def test_anti_top_point_on_a_scaled_kernel(self):
+        # Scaled by 1e6, this draw's R_0 tops its largest atom radius by
+        # 1.2e-9 from rounding alone; the top level must still pick that atom.
+        base = _reducible_draw(26)
+        model = MetapopModel(weights=base.weights, matrix=base.matrix * 1e6)
+        anti = assemble_reducible(model, UNIFORM, **REDUCIBLE_EFFORT).anti
+        r0 = effective_re(model, Strategy.ones(model.n))
+        top = max(anti.points, key=lambda point: point.loss)
+        assert effective_re(model, top.strategy) == pytest.approx(r0, rel=1e-12)
+
     def test_remainder_kept_unvaccinated(self):
         # One atom {1} with a self-loop plus quasi-nilpotent remainder {0}.
         k = np.array([[0.0, 1.0], [0.0, 2.0]])
@@ -696,8 +794,6 @@ class TestFeasibleRegionSample:
 
 class TestGridOracleFourGroups:
     def test_four_group_face_grid(self):
-        from vaxfront import effective_re_batch
-
         rng = np.random.default_rng(54)
         w = 0.2 + rng.random(4)
         w /= math.fsum(w.tolist())
@@ -737,14 +833,11 @@ class TestMaximizerDominance:
             feasible = etas[costs >= c - 1e-12]
             if len(feasible) == 0:
                 continue
-            from vaxfront import effective_re_batch
-
             losses = effective_re_batch(model, feasible)
             assert losses.max() <= top.loss + 1e-6
 
     def test_vertex_exact_under_convexity(self):
         from vaxfront.acceptance import random_convex_model
-        from vaxfront import effective_re_batch
 
         rng = np.random.default_rng(56)
         for _ in range(6):

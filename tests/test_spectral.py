@@ -122,6 +122,26 @@ class TestEffectiveRe:
         model = MetapopModel(weights=np.full(3, 1.0 / 3.0), matrix=k)
         etas = np.random.default_rng(6).random((9, 3))
         assert np.all(effective_re_batch(model, etas) == 0.0)
+        # QR's balancing permutes an acyclic support to triangular form, so
+        # its zero diagonal comes back exactly: permuted strictly triangular
+        # kernels, dense and sparse, and directed cycles whose closing column
+        # is zeroed by the strategy.
+        rng = np.random.default_rng(61)
+        for n in (2, 5, 17, 33, 48, 60):
+            perm = rng.permutation(n)
+            for density in (1.0, 0.3):
+                k = np.triu(rng.random((n, n)) * (rng.random((n, n)) < density), 1)
+                model = MetapopModel(
+                    weights=np.full(n, 1.0 / n), matrix=k[np.ix_(perm, perm)]
+                )
+                assert np.all(effective_re_batch(model, rng.random((8, n))) == 0.0)
+            cycle = np.roll(np.eye(n), 1, axis=1) * (1.0 + rng.random((n, n)))
+            model = MetapopModel(
+                weights=np.full(n, 1.0 / n), matrix=cycle[np.ix_(perm, perm)]
+            )
+            etas = rng.random((n, n))
+            etas[np.arange(n), np.arange(n)] = 0.0  # row i zeroes column i
+            assert np.all(effective_re_batch(model, etas) == 0.0)
 
     @pytest.mark.parametrize(
         "row", [[2.0, 1.0], [-0.5, 1.0], [math.nan, 1.0], [math.inf, 1.0]]
