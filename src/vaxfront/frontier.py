@@ -366,6 +366,8 @@ def _vertex_maximum(model, w, budget):
         topped = over & (rem > eps)
         plain = ~topped.any(axis=1) & (inside | over).all(axis=1)
         k, j = np.nonzero(np.column_stack((topped, plain)))
+        if not len(k):  # a block of corners that neither top up nor stay plain
+            continue
         rows = inside[k].astype(float)
         frac = j < n
         rows[frac, j[frac]] = np.minimum(1.0, rem[k[frac], 0] / w[j[frac]])
@@ -406,10 +408,9 @@ def optimal_loss_max(
         return OptimalPoint(cost=c, loss=r0, strategy=ones, status="VertexEnumerated")
     if cmax - c <= 0:  # all zeros is the only feasible strategy
         return OptimalPoint(c, 0.0, Strategy.zeros(model.n), "VertexEnumerated")
-    return _maximize(
-        model, w, cmax - c, c, r0, _is_convex(model), extra_starts, starts,
-        max_iter, window_tol,
-    )
+    convex = model.n <= VERTEX_BUDGET and _is_convex(model)
+    return _maximize(model, w, cmax - c, c, r0, convex, extra_starts, starts,
+                     max_iter, window_tol)
 
 
 def _maximize(model, w, budget, c, r0, convex, extra_starts, starts, max_iter,
@@ -572,12 +573,13 @@ def anti_pareto_frontier(
 
     The previous optimum stays feasible as the budget decreases and is
     carried along as an extra ascent start, making the reported curve
-    monotone.  The convexity verdict, R_0 and the budget halfspace are
+    monotone.  R_0, the budget halfspace and the convexity verdict (read
+    only by the vertex enumeration, up to ``VERTEX_BUDGET`` groups) are
     computed once.
     """
     n = model.n
     _check_effort(n, (), starts, max_iter, window_tol, resolution)
-    convex = _is_convex(model)
+    convex = n <= VERTEX_BUDGET and _is_convex(model)
     cmax, w = _budget(model, cost_fn, 0.0)
     ceiling, top_strategy = _ceiling_with_witness(model, cost_fn)
     r0 = effective_re(model, Strategy.ones(n))
@@ -722,9 +724,7 @@ def optimal_ray_check(
     if not 0.0 < peak < 1.0:
         raise PreconditionFailed("ray check needs max(eta_star) strictly in (0, 1)")
     lambdas = np.linspace(0.0, 1.0 / peak, RAY_GRID)
-    expected = []
-    solved = []
-    passed = []
+    expected, solved, passed = [], [], []
     for lam in lambdas:
         scaled = Strategy(np.clip(lam * eta_star.values, 0.0, 1.0))
         budget = cost(cost_fn, model, scaled)
@@ -775,6 +775,4 @@ def feasible_region_sample(
     losses = effective_re_batch(model, stacked)
     w = cost_fn.coefficient_vector(n) * model.weights
     costs = (1.0 - stacked) @ w
-    return tuple(
-        (float(cv), float(lv)) for cv, lv in zip(costs, losses)
-    )
+    return tuple((float(cv), float(lv)) for cv, lv in zip(costs, losses))

@@ -141,9 +141,10 @@ class TestOptimalLossMax:
         model = MetapopModel(weights=w, matrix=rng.random((21, 21)))
 
         def refuse(*args):
-            raise AssertionError("21 groups must skip the vertex enumeration")
+            raise AssertionError("21 groups skip the enumeration and its verdict")
 
         monkeypatch.setattr(frontier, "_vertex_maximum", refuse)
+        monkeypatch.setattr(frontier, "_is_convex", refuse)
         solved = optimal_loss_max(model, UNIFORM, 0.3)
         assert solved.status == "MultiStartBest"
 
@@ -219,6 +220,23 @@ class TestVertexMaximum:
             want = _reference_vertex_maximum(model, w, budget)
             assert got[0] == want[0]
             assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_corner_table_past_one_block(self, n):
+        # At 5% of c_max every proper subset of a uniform budget fits: the
+        # table outgrows one block of rows, and the later blocks hold only
+        # corners that emit nothing.
+        rng = np.random.default_rng(n)
+        k = rng.random((n, n))
+        model = MetapopModel(weights=np.full(n, 1.0 / n), matrix=k + k.T)
+        w = UNIFORM.coefficient_vector(n) * model.weights
+        budget = c_max(UNIFORM, model) - 0.05
+        want = _reference_vertex_maximum(model, w, budget)
+        got = _vertex_maximum(model, w, budget)
+        assert got[0] == want[0]
+        assert got[1].tobytes() == want[1].tobytes()
+        solved = optimal_loss_max(model, UNIFORM, 0.05)
+        assert solved.loss >= want[0]
 
 
 class TestBudgetCheck:
