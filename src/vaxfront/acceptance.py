@@ -138,10 +138,6 @@ def random_block_upper_model(rng: np.random.Generator, max_blocks: int = 3):
     )
 
 
-def random_strategy(rng: np.random.Generator, n: int) -> Strategy:
-    return Strategy(rng.random(n))
-
-
 def brute_force_mwis(model: MetapopModel, cost_fn: CostFunction):
     """Exhaustive maximum-weight independent set, the oracle for small N."""
     n = model.n

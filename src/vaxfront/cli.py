@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("cstar", help="eradication cost via independent sets, or a bound")
+    p = sub.add_parser("cstar", help="eradication cost via a maximum-weight acyclic set")
     _add_model_arguments(p)
     p.set_defaults(func=cmd_cstar)
 

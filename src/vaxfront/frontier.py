@@ -316,9 +316,9 @@ def _minimize(model, w, b, c, convex, erad, extra_starts, starts, max_iter,
         return _project_budget(x, w, b, "ge")
 
     start_points = [project(np.asarray(s, dtype=float)) for s in extra_starts]
-    # The eradicating independent-set strategy is the one known point with
-    # loss exactly zero; when it fits the budget the solve is settled, and
-    # otherwise its projection is a strong start near the eradication end.
+    # The eradicating strategy is the one known point with loss exactly
+    # zero; when it fits the budget the solve is settled, and otherwise its
+    # projection is a strong start near the eradication end.
     if erad.cstar <= c + 1e-15:
         return OptimalPoint(
             cost=c, loss=0.0, strategy=erad.strategy, status="Converged"
@@ -501,9 +501,10 @@ def pareto_frontier(
 
     Endpoints (0, R_0) and (c_star, 0) are inserted from their closed-form
     sources, the second labelled MultiStartBest when c_star is only an upper
-    bound; interior points are monotone by carrying each optimum forward as
-    a start for the next budget.  The convexity verdict, the eradication
-    result and the budget halfspace are computed once.
+    bound (its search stopped at the node budget); interior points are
+    monotone by carrying each optimum forward as a start for the next
+    budget.  The convexity verdict, the eradication result and the budget
+    halfspace are computed once.
     """
     n = model.n
     _check_effort(n, (), starts, max_iter, window_tol, resolution)
@@ -630,7 +631,8 @@ def assemble_reducible(
     own anti-Pareto cost at l (extended by zero above its radius, and shifted
     by the cost of vaccinating everything outside the atom) is solved again
     with ``optimal_loss_max`` at that cost, and everything outside it is
-    vaccinated.  On the Pareto side an atom whose radius is at most l needs
+    vaccinated.  On the Pareto side an atom whose radius is at most l, up to
+    the rounding slack 1e-9 max(1, R_0) the anti side also allows, needs
     no vaccination and stays at exactly 1; every other atom takes its own
     optimal strategy at the budget its Pareto curve gives for l, solved
     again with ``optimal_loss``, and the quasi-nilpotent remainder stays
@@ -666,6 +668,8 @@ def assemble_reducible(
         points.sort(key=lambda p: (p.cost, -p.loss))
         return FrontierCurve(tuple(points), kind, resolution)
 
+    # At the top level, R_0 and the largest radius differ by rounding.
+    rounding = 1e-9 * max(1.0, r0)
     pareto, anti = [], []
     for level in np.linspace(0.0, r0, resolution + 1):
         values = np.ones(n)
@@ -673,13 +677,12 @@ def assemble_reducible(
         for (atom, sub_pareto, sub_anti), (sub_model, sub_cost, shift, radius) in zip(
             per_atom, subs
         ):
-            if level < radius:
+            if level < radius - rounding:
                 budget = sub_pareto.cost_at(float(level))
                 solved = optimal_loss(sub_model, sub_cost, budget, **effort)
                 values[list(atom)] = solved.strategy.values
             sub_c = sub_anti.cost_at(level)
-            # At the top level, R_0 and the largest radius differ by rounding.
-            if level <= radius + 1e-9 * max(1.0, r0) and shift + sub_c >= best_cost:
+            if level <= radius + rounding and shift + sub_c >= best_cost:
                 best_cost, chosen = shift + sub_c, (atom, sub_model, sub_cost, sub_c)
         atom, sub_model, sub_cost, sub_c = chosen
         solved = optimal_loss_max(sub_model, sub_cost, sub_c, **effort)

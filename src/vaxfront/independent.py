@@ -2,20 +2,26 @@
 
 An independent set of the kernel is a group set A with K = 0 on A x A, the
 diagonal included: a group with internal transmission can never belong to
-one.  Leaving exactly an independent set non-vaccinated kills the epidemic,
-since the effective operator then squares to zero.  For symmetric supports
-the cheapest eradicating strategy is the indicator of a cost-maximal
-independent set; for asymmetric supports that value is only an upper bound
-on the true eradication cost and is flagged as such.
+one.  Leaving a group set A non-vaccinated kills the epidemic exactly when
+the support restricted to A is acyclic, loops counted as cycles, since the
+effective operator is then nilpotent.  Cost falls as eta rises, so the
+eradication cost is C(1_A) for a cost-maximal acyclic set A.  On a
+symmetric support every edge is a 2-cycle and the acyclic sets are the
+independent sets.
 
 The exact search is a branch and bound on bitmasks, include-first on the
 lowest-index candidate, pruned by a greedy weighted clique cover of the
-candidates (an independent set takes at most one vertex per clique; see
-Ostergard 2002, "A fast algorithm for the maximum clique problem", for the
-colouring form of the same bound).  Among the sets of maximal weight, summed
-in ascending index order, it returns the lexicographically smallest.  A
-search stopped at ``SEARCH_NODE_BUDGET`` nodes returns its best set so far,
-flagged ``exact=False``: still independent, so an eradicating upper bound.
+candidates over the mutual edges (an acyclic set takes at most one vertex
+per bidirected clique; see Ostergard 2002, "A fast algorithm for the maximum
+clique problem", for the colouring form of the same bound).  A group whose
+one-way edges would close a cycle through the groups already chosen is not
+included.  Every cycle lies inside one strongly connected component, so a
+directed support is searched one component at a time (the contraction view
+of Levy and Low 1988, "A contraction algorithm for finding small cycle
+cutsets").  Among the sets of maximal weight, summed in ascending index
+order, a search returns the lexicographically smallest.  A search stopped at
+``SEARCH_NODE_BUDGET`` nodes returns its best set so far, flagged
+``exact=False``: still acyclic, so an eradicating upper bound.
 """
 
 from __future__ import annotations
@@ -24,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._graph import support_components
 from .errors import ValidationError
 from .model import CostFunction, MetapopModel, Strategy, c_max, cost
 from .spectral import effective_re
-from .structure import _atom_submodel, _atoms
 
 SEARCH_NODE_BUDGET = 1 << 16
 
@@ -50,25 +56,50 @@ class IndependentSetResult:
 
 
 def _conflict_graph(matrix: np.ndarray):
+    """The loop-free groups, and per group the bitmasks of its mutual edges
+    (both K_ij and K_ji positive) and of its one-way edges (K_ij only)."""
     allowed_mask = np.diagonal(matrix) == 0
     allowed = np.flatnonzero(allowed_mask).tolist()
-    adjacent = ((matrix > 0) | (matrix.T > 0)) & allowed_mask
-    np.fill_diagonal(adjacent, False)
-    rows = np.packbits(adjacent[allowed], axis=1, bitorder="little")
-    masks = {
-        i: int.from_bytes(row.tobytes(), "little") for i, row in zip(allowed, rows)
-    }
-    return allowed, masks
+    positive = matrix > 0
+    mutual = positive & positive.T & allowed_mask
+    np.fill_diagonal(mutual, False)
+    masks = []
+    for edges in (mutual, positive & ~positive.T & allowed_mask):
+        rows = np.packbits(edges[allowed], axis=1, bitorder="little")
+        masks.append({
+            i: int.from_bytes(row.tobytes(), "little") for i, row in zip(allowed, rows)
+        })
+    return allowed, *masks
 
 
-def _mwis_branch_and_bound(allowed, adj, weights):
-    """Exact MWIS by include-first branch and bound with a clique-cover bound.
+def _closes_cycle(v: int, chosen: int, oneway) -> bool:
+    """Whether one-way edges lead from v through the ``chosen`` mask back to v."""
+    seen = frontier = oneway[v] & chosen
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        step = oneway[low.bit_length() - 1]
+        if step >> v & 1:
+            return True
+        step &= chosen & ~seen
+        seen |= step
+        frontier |= step
+    return False
 
-    The candidates of a node are one bitmask.  Its bound is the current
-    weight plus, over a greedy clique cover of the candidates, each clique's
+
+def _mwis_branch_and_bound(allowed, adj, oneway, weights):
+    """Exact maximum-weight acyclic set by include-first branch and bound
+    with a clique-cover bound.
+
+    ``adj`` holds the mutual edges and ``oneway`` the one-way edges; with no
+    one-way edge the acyclic sets are the independent sets.  The candidates
+    of a node are one bitmask.  Its bound is the current weight plus, over a
+    greedy clique cover of the candidates by mutual edges, each clique's
     largest weight: every candidate joins, in ascending index order, the
-    first clique whose members are all adjacent to it.  An independent set
-    takes at most one vertex per clique, so the bound holds.
+    first clique whose members are all adjacent to it.  An acyclic set takes
+    at most one vertex per bidirected clique, so the bound holds.  Including
+    a candidate drops its mutual neighbours; a candidate that would close a
+    one-way cycle through the chosen groups is only excluded.
 
     Branching is include-first on the lowest-index candidate and a set's
     weight is summed in ascending index order.  A node is pruned only when
@@ -80,6 +111,7 @@ def _mwis_branch_and_bound(allowed, adj, weights):
     set is the best one found so far.
     """
     w = [float(x) for x in weights]
+    n = len(w)
     slack = 1e-12 * (sum(w) + 1.0)
     best_weight = -1.0
     best_set: tuple[int, ...] = ()
@@ -105,28 +137,29 @@ def _mwis_branch_and_bound(allowed, adj, weights):
             placed |= low
         return sum(clique[1] for clique in cliques)
 
-    # Depth-first over an explicit stack of (candidates, chosen groups in
-    # ascending order, weight), so that depth is not bounded by the
-    # interpreter's recursion limit.  The include branch is pushed last and
-    # so explored first, and a node's bound is taken when it is popped.
-    stack = [(sum(1 << v for v in allowed), (), 0.0)]
+    # Depth-first over an explicit stack of (candidates, chosen, weight)
+    # bitmasks and sums, so that depth is not bounded by the interpreter's
+    # recursion limit.  The include branch is pushed last and so explored
+    # first, and a node's bound is taken when it is popped.
+    stack = [(sum(1 << v for v in allowed), 0, 0.0)]
     nodes_left = SEARCH_NODE_BUDGET
     while stack and nodes_left:
         nodes_left -= 1
-        candidates, current, weight = stack.pop()
+        candidates, chosen, weight = stack.pop()
         if not candidates:
-            if weight > best_weight or (
-                weight == best_weight and current < best_set
-            ):
-                best_weight = weight
-                best_set = current
+            if weight >= best_weight:
+                members = tuple(i for i in range(n) if chosen >> i & 1)
+                if weight > best_weight or members < best_set:
+                    best_weight = weight
+                    best_set = members
             continue
         if weight + cover_bound(candidates) < best_weight - slack:
             continue
         low = candidates & -candidates
         v = low.bit_length() - 1
-        stack.append((candidates ^ low, current, weight))
-        stack.append((candidates & ~adj[v] & ~low, current + (v,), weight + w[v]))
+        stack.append((candidates ^ low, chosen, weight))
+        if not _closes_cycle(v, chosen, oneway):
+            stack.append((candidates & ~adj[v] & ~low, chosen | low, weight + w[v]))
     return best_set, best_weight if best_weight >= 0 else 0.0, not stack
 
 
@@ -142,8 +175,10 @@ def max_independent_set(
     """
     coef = cost_fn.coefficient_vector(model.n)
     weights = coef * model.weights
-    allowed, adj = _conflict_graph(model.matrix)
-    best_set, weight, exact = _mwis_branch_and_bound(allowed, adj, weights)
+    positive = model.matrix > 0
+    # Independence forbids an edge either way, so every edge counts as mutual.
+    graph = _conflict_graph(positive | positive.T)
+    best_set, weight, exact = _mwis_branch_and_bound(*graph, weights)
     strategy = Strategy.indicator(model.n, best_set)
     cstar = cost(cost_fn, model, strategy)
     alpha = c_max(cost_fn, model) - cstar
@@ -157,9 +192,8 @@ def max_independent_set(
 class EradicationResult:
     """Cheapest (or cheapest-known) strategy with R_e = 0.
 
-    ``exact`` is True only when the support is symmetric, where the
-    independent-set characterization of the eradication cost applies, and
-    the search proved its set maximal; otherwise ``cstar`` is an upper bound.
+    ``exact`` is True when every search proved its set maximal; a search
+    stopped at ``SEARCH_NODE_BUDGET`` nodes makes ``cstar`` an upper bound.
     """
 
     cstar: float
@@ -177,24 +211,24 @@ def has_symmetric_support(model: MetapopModel) -> bool:
 def eradication_cost(model: MetapopModel, cost_fn: CostFunction) -> EradicationResult:
     """Minimal vaccination cost that completely stops transmission.
 
-    Symmetric support: exact, equal to C(1_A) for a cost-maximal independent
-    set A, unless the search stops at its node budget.  Asymmetric support:
-    upper bound from leaving the quasi-nilpotent remainder plus per-atom
-    independent sets non-vaccinated.  Every upper bound is flagged
-    ``exact=False``.
+    Equal to C(1_A) for a cost-maximal group set A on which the support is
+    acyclic: on a symmetric support a maximum-weight independent set, on any
+    other one the union of a search per strongly connected component.  Exact
+    unless a search stops at its node budget.
     """
     if has_symmetric_support(model):
         res = max_independent_set(model, cost_fn)
         chosen = res.set
         exact = res.exact
     else:
-        _, _, atoms, kept = _atoms(model, 0.0)
-        for atom in atoms:
-            sub_model, sub_cost = _atom_submodel(model, cost_fn, atom)
-            sub = max_independent_set(sub_model, sub_cost)
-            kept.extend(atom[j] for j in sub.set)
-        chosen = tuple(sorted(kept))
-        exact = False
+        weights = cost_fn.coefficient_vector(model.n) * model.weights
+        _, adj, oneway = _conflict_graph(model.matrix)
+        searches = [
+            _mwis_branch_and_bound([v for v in comp if v in adj], adj, oneway, weights)
+            for comp in support_components(model.matrix)[1]
+        ]
+        chosen = tuple(sorted(v for found, _, _ in searches for v in found))
+        exact = all(finished for _, _, finished in searches)
     strategy = Strategy.indicator(model.n, chosen)
     value = cost(cost_fn, model, strategy)
     residual = effective_re(model, strategy)

@@ -418,8 +418,14 @@ def dominant_pair(model: MetapopModel, eta: Strategy) -> EigenPair:
         if _residual(effective, right, lam) > bound:
             raise NonConvergence("right eigenvector residual above tolerance")
         left = _real_eigenvector(effective.T, lam)
-        left = left / float(left @ right)
-    if _residual(effective.T, left, lam) > bound:
+        # On a reducible matrix with radii tied across blocks the two solves
+        # can pick different blocks; orthogonal vectors would divide to inf
+        # and NaN, and NaN passes any ``>`` test.
+        overlap = float(left @ right)
+        if not overlap > 0:
+            raise NonConvergence("left and right eigenvectors are orthogonal")
+        left = left / overlap
+    if not _residual(effective.T, left, lam) <= bound:
         raise NonConvergence("left eigenvector residual above tolerance")
     return EigenPair(value=lam, right=right, left=left)
 

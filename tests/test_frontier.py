@@ -28,7 +28,7 @@ from vaxfront import (
     pareto_frontier,
     probe_convexity,
 )
-from vaxfront import fixtures, frontier
+from vaxfront import fixtures, frontier, independent
 from vaxfront.acceptance import (
     random_block_upper_model,
     random_convex_model,
@@ -464,11 +464,16 @@ class TestParetoFrontier:
         assert curve.loss_at(0.25) < math.sqrt(2.0) - 0.04
         assert curve.points[-1].status == "Converged"
 
-    def test_upper_bound_endpoint_status(self):
-        # Asymmetric support: c_star is an upper bound, not a proved optimum.
+    def test_upper_bound_endpoint_status(self, monkeypatch):
+        # Directed support: c_star is proved once the search finishes, and
+        # only an upper bound when it stops at the node budget.
         model = MetapopModel(
             weights=np.array([0.5, 0.5]), matrix=np.array([[0.0, 1.0], [0.0, 2.0]])
         )
+        curve = pareto_frontier(model, UNIFORM, resolution=4)
+        assert (curve.points[-1].cost, curve.points[-1].loss) == (0.5, 0.0)
+        assert curve.points[-1].status == "Converged"
+        monkeypatch.setattr(independent, "SEARCH_NODE_BUDGET", 1)
         curve = pareto_frontier(model, UNIFORM, resolution=4)
         assert curve.points[-1].loss == 0.0
         assert curve.points[-1].status == "MultiStartBest"
@@ -561,6 +566,22 @@ class TestMonotoneProperty:
         # calls, which may differ in the last bits.
         losses = curve.losses()
         assert np.all(np.diff(losses) <= 1e-12 * max(1.0, losses[0]))
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.integers(2, 10), st.floats(0.1, 0.45), st.integers(0, 2**32 - 1),
+        st.sampled_from(["pareto", "anti"]),
+    )
+    def test_sparse_directed_sweeps_are_finite(self, n, density, seed, kind):
+        # Sparse directed kernels are reducible at many strategies, where
+        # radii tie across blocks and the Perron pair is hardest to take.
+        model = random_model(np.random.default_rng(seed), n, density=density)
+        sweep = pareto_frontier if kind == "pareto" else anti_pareto_frontier
+        curve = sweep(model, UNIFORM, resolution=4, starts=2, max_iter=40)
+        for point in curve.points:
+            assert math.isfinite(point.cost) and math.isfinite(point.loss)
+            assert np.isfinite(point.strategy.values).all()
+            assert point.status in ("Converged", "MultiStartBest", "VertexEnumerated")
 
 
 class TestSandwichAndInverses:
@@ -670,8 +691,9 @@ class TestAssembleReducible:
 
     @pytest.mark.parametrize("trial", [0, 3, 10, 18])
     def test_solves_only_atoms_above_the_level(self, monkeypatch, trial):
-        # Each (level, atom) pair with level < radius is solved once, in
-        # level order; every other atom keeps exactly 1.
+        # Each (level, atom) pair with level below radius, by more than
+        # the rounding slack, is solved once, in level order; every other
+        # atom keeps exactly 1.
         solved = []
 
         def counted(*args, _original=frontier.optimal_loss, **kw):
@@ -687,7 +709,7 @@ class TestAssembleReducible:
         for level in np.linspace(0.0, r0, REDUCIBLE_EFFORT["resolution"] + 1):
             values = np.ones(model.n)
             for atom, sub_pareto, _ in assembled.per_atom:
-                if level < sub_pareto.points[0].loss:
+                if level < sub_pareto.points[0].loss - 1e-9 * max(1.0, r0):
                     values[list(atom)] = next(answers).strategy.values
             expected.append(values.tobytes())
         assert next(answers, None) is None
@@ -712,6 +734,18 @@ class TestAssembleReducible:
         r0 = effective_re(model, Strategy.ones(model.n))
         top = max(anti.points, key=lambda point: point.loss)
         assert effective_re(model, top.strategy) == pytest.approx(r0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "trial, scale", [(0, 1e3), (6, 1e3), (2, 1e6), (22, 1e6)]
+    )
+    def test_pareto_top_point_on_a_scaled_kernel(self, trial, scale):
+        # Scaled, these draws' largest atom radius tops R_0 by rounding; an
+        # atom solved at that level would come back with entries of 1 - 1 ulp.
+        base = _reducible_draw(trial)
+        model = MetapopModel(weights=base.weights, matrix=base.matrix * scale)
+        top = assemble_reducible(model, UNIFORM, **REDUCIBLE_EFFORT).pareto.points[0]
+        assert top.cost == 0.0
+        np.testing.assert_array_equal(top.strategy.values, np.ones(model.n))
 
     def test_remainder_kept_unvaccinated(self):
         # One atom {1} with a self-loop plus quasi-nilpotent remainder {0}.

@@ -166,6 +166,55 @@ def symmetric_supports(draw):
     return model_of(k), cost_fn
 
 
+def acyclic(matrix, subset):
+    """Whether the support restricted to ``subset`` has no cycle, loops
+    included: peel off groups with no predecessor left until none remain."""
+    left = set(subset)
+    while left:
+        sources = {i for i in left if not any(matrix[i, j] > 0 for j in left)}
+        if not sources:
+            return False
+        left -= sources
+    return True
+
+
+def min_acyclic_cost(model, cost_fn):
+    """The cost of vaccinating all but a group set with an acyclic support,
+    minimized exhaustively."""
+    return min(
+        cost(cost_fn, model, Strategy.indicator(model.n, subset))
+        for size in range(model.n + 1)
+        for subset in itertools.combinations(range(model.n), size)
+        if acyclic(model.matrix, subset)
+    )
+
+
+@st.composite
+def directed_supports(draw):
+    """Supports of at most 10 groups mixing loops, 2-cycles and one-way edges."""
+    n = draw(st.integers(1, 10))
+    edge = st.sampled_from(["none"] * 5 + ["mutual", "forward", "backward"])
+    k = np.zeros((n, n))
+    for i, j in itertools.combinations(range(n), 2):
+        kind = draw(edge)
+        if kind in ("mutual", "forward"):
+            k[j, i] = 1.0
+        if kind in ("mutual", "backward"):
+            k[i, j] = 1.0
+    loop = st.sampled_from([False] * 5 + [True])
+    k[np.diag_indices(n)] = draw(st.lists(loop, min_size=n, max_size=n))
+    weights = None
+    if draw(st.booleans()):
+        weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+        weights /= weights.sum()
+    cost_fn = UNIFORM
+    if draw(st.booleans()):
+        cost_fn = CostFunction.affine(
+            draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n))
+        )
+    return model_of(k, weights), cost_fn
+
+
 class TestExactSearch:
     @settings(max_examples=150, deadline=None)
     @given(symmetric_supports())
@@ -242,13 +291,15 @@ class TestExactSearch:
             n = int(rng.integers(1, 70))
             matrix = (rng.random((n, n)) < rng.random()) * rng.random((n, n))
             allowed = [i for i in range(n) if matrix[i, i] == 0]
-            masks = {}
+            mutual, oneway = {}, {}
             for i in allowed:
-                masks[i] = 0
+                mutual[i] = oneway[i] = 0
                 for j in allowed:
-                    if j != i and (matrix[i, j] > 0 or matrix[j, i] > 0):
-                        masks[i] |= 1 << j
-            assert independent._conflict_graph(matrix) == (allowed, masks)
+                    if j != i and matrix[i, j] > 0 and matrix[j, i] > 0:
+                        mutual[i] |= 1 << j
+                    if j != i and matrix[i, j] > 0 and not matrix[j, i] > 0:
+                        oneway[i] |= 1 << j
+            assert independent._conflict_graph(matrix) == (allowed, mutual, oneway)
 
 
 class TestEradicationCost:
@@ -267,11 +318,11 @@ class TestEradicationCost:
         assert result.cstar == pytest.approx(1.0, abs=1e-15)
 
     def test_reducible_remainder_bound(self):
-        # Group 0 is quasi-nilpotent remainder; the atom {1} has a self-loop.
+        # Group 0 is on no cycle; group 1 has a self-loop.
         model = model_of([[0.0, 1.0], [0.0, 2.0]])
         assert not has_symmetric_support(model)
         result = eradication_cost(model, UNIFORM)
-        assert not result.exact
+        assert result.exact
         assert result.set == (0,)
         assert result.cstar == pytest.approx(0.5, abs=1e-15)
         assert effective_re(model, result.strategy) <= 1e-10
@@ -284,6 +335,47 @@ class TestEradicationCost:
             result = eradication_cost(model, UNIFORM)
             assert effective_re(model, result.strategy) <= 1e-10
             assert result.cstar == cost(UNIFORM, model, result.strategy)
+
+    @settings(max_examples=150, deadline=None)
+    @given(directed_supports())
+    def test_directed_brute_force_oracle(self, case):
+        model, cost_fn = case
+        result = eradication_cost(model, cost_fn)
+        assert result.exact
+        assert acyclic(model.matrix, result.set)
+        assert result.cstar == pytest.approx(
+            min_acyclic_cost(model, cost_fn), rel=1e-12, abs=1e-15
+        )
+
+    def test_sparse_directed_draws(self):
+        # Before one search covered directed supports, 35 of these draws
+        # reported a cost above the optimum; draw 2 reported 0.668.
+        rng = np.random.default_rng(3)
+        for t in range(60):
+            n = int(rng.integers(4, 11))
+            model = random_model(rng, n, density=0.15 + 0.3 * rng.random())
+            result = eradication_cost(model, UNIFORM)
+            assert result.exact
+            assert result.cstar == pytest.approx(
+                min_acyclic_cost(model, UNIFORM), rel=1e-12, abs=1e-15
+            )
+            if t == 2:
+                assert result.cstar == pytest.approx(0.35320008341249, abs=1e-13)
+
+    def test_node_budget_on_a_directed_support(self, monkeypatch):
+        # A directed 40-cycle with a chord: one component, whose two cycles
+        # share the groups 0 to 20, so one group breaks both.
+        k = np.roll(np.eye(40), 1, axis=0)
+        k[0, 20] = 1.0
+        model = model_of(k)
+        proved = eradication_cost(model, UNIFORM)
+        assert proved.exact
+        assert proved.cstar == pytest.approx(1.0 / 40.0, abs=1e-15)
+        monkeypatch.setattr(independent, "SEARCH_NODE_BUDGET", 10)
+        bound = eradication_cost(model, UNIFORM)
+        assert not bound.exact
+        assert bound.cstar >= proved.cstar
+        assert effective_re(model, bound.strategy) <= 1e-10
 
     def test_strategy_matches_set(self):
         result = eradication_cost(fixtures.cycle_model(), UNIFORM)

@@ -216,6 +216,28 @@ class TestDominantPair:
         with pytest.raises(NonSimple):
             dominant_pair(model, Strategy.ones(2))
 
+    def test_orthogonal_fallback_pair_is_refused(self):
+        # At this strategy the top radii of two blocks are nearly tied and
+        # the fallback's left and right vectors lie on different blocks, so
+        # their product is 0; dividing by it gave a NaN pair.
+        rng = np.random.default_rng(3)
+        model = random_model(
+            rng, int(rng.integers(4, 11)), density=0.15 + 0.3 * rng.random()
+        )
+        eta = Strategy(np.array(
+            [1.0] * 5
+            + [float.fromhex("0x1.a09db4e18ca36p-7"),
+               float.fromhex("0x1.2c1e102cf036fp-23")]
+            + [1.0] * 2
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                pair = dominant_pair(model, eta)
+            except NonConvergence:
+                return
+        assert np.isfinite(pair.left).all() and np.isfinite(pair.right).all()
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_inverse_takes_the_fallback(self, monkeypatch, bad):
         model = random_model(np.random.default_rng(9), 4)

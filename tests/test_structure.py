@@ -8,6 +8,7 @@ from vaxfront import (
     MetapopModel,
     NotDisconnecting,
     Strategy,
+    c_max,
     classify,
     cordon_improvement,
     cost,
@@ -375,13 +376,17 @@ class TestRadiusFreeStructure:
         assert result.infected == ()
 
     def test_asymmetric_eradication(self, no_radius):
+        # Every group of these models lies in a positive diagonal block, so
+        # it has a loop and eradication vaccinates everyone.
         rng = np.random.default_rng(33)
         for _ in range(20):
             model, _ = random_block_upper_model(rng)
             if has_symmetric_support(model):
                 continue
             result = eradication_cost(model, UNIFORM)
-            assert not result.exact
+            assert result.exact
+            assert result.set == ()
+            assert result.cstar == c_max(UNIFORM, model)
 
 
 class TestThreshold:
