@@ -278,12 +278,14 @@ class TestEffortCheck:
              ValidationError),
             (lambda: assemble_reducible(fixtures.two_block_model(), UNIFORM, window_tol=-1.0),
              ValidationError),
+            (lambda: optimal_loss(_cycle(), UNIFORM, 0.25, window_tol=True),
+             ValidationError),
         ],
         ids=[
             "anti-without-starts", "min-short-start", "max-long-start", "min-nan-start",
             "max-nan-start", "fractional-resolution",
             "negative-max-iter", "negative-starts", "nan-window-tol",
-            "assembly-negative-window-tol",
+            "assembly-negative-window-tol", "bool-window-tol",
         ],
     )
     def test_refused(self, call, error):
@@ -312,6 +314,11 @@ class TestEffortCheck:
         frontier._check_effort(4, (_half(4),), 3, 80, 3e-7, resolution=np.int64(4))
         solved = optimal_loss(_cycle(), UNIFORM, 0.25, starts=1, max_iter=0, window_tol=0.0)
         assert 0.0 < solved.loss < 2.0
+
+    def test_numpy_float_window_tol_accepted(self):
+        tol = np.float32(1e-9)
+        solved = optimal_loss(_cycle(), UNIFORM, 0.25, starts=1, window_tol=tol)
+        assert solved.loss == optimal_loss(_cycle(), UNIFORM, 0.25, starts=1).loss
 
 
 class TestGradientFallback:
@@ -358,6 +365,32 @@ def _polytope_vertices(w, b, sense):
     return np.vstack(vertices)
 
 
+def _assert_projection_certificate(x, w, b, sense, y):
+    """The optimality conditions of the projection, checked in the 'ge' form
+    ('le' through the reflection eta -> 1 - eta): one multiplier t >= 0 with
+    y = clip(x + t w), and w . y = b when t > 0."""
+    if sense == "le":
+        x, y, b = 1.0 - x, 1.0 - y, float(w.sum()) - b
+    assert np.all((y >= 0.0) & (y <= 1.0))
+    free, low, high = (y > 0.0) & (y < 1.0), y == 0.0, y == 1.0
+    if free.any():
+        # The free coordinates share one multiplier.
+        ts = (y[free] - x[free]) / w[free]
+        t = float(ts.max())
+        assert t - float(ts.min()) <= 1e-9 * max(1.0, t)
+    else:
+        t = max([0.0] + ((1.0 - x[high]) / w[high]).tolist())
+    assert t >= -1e-9
+    probe = x + t * w
+    tol = 1e-9 * (1.0 + np.abs(x) + abs(t) * w)
+    assert np.all(probe[low] <= tol[low])
+    assert np.all(probe[high] >= 1.0 - tol[high])
+    slack = 1e-9 * float(w.sum())
+    assert w @ y >= b - slack
+    if t > 1e-9:
+        assert abs(w @ y - b) <= slack
+
+
 class TestProjectBudget:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -399,6 +432,51 @@ class TestProjectBudget:
         x = np.array([0.2, 0.2, 0.2, -0.5, 1.5, 0.2])
         y = _project_budget(x, np.ones(6), b, "ge")
         np.testing.assert_allclose(y, expected, rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 60),
+        sense=st.sampled_from(["ge", "le"]),
+        frac=st.floats(0.0, 1.0),
+    )
+    def test_certificate_past_the_vertex_oracle(self, data, n, sense, frac):
+        coords = st.lists(st.floats(-2.0, 3.0), min_size=n, max_size=n)
+        normals = st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n)
+        x = np.array(data.draw(coords))
+        w = np.array(data.draw(normals))
+        b = frac * float(w.sum())
+        _assert_projection_certificate(x, w, b, sense, _project_budget(x, w, b, sense))
+
+    def test_target_on_a_zero_slope_segment(self):
+        # Past t = 0.85 every coordinate but the last sits at 1 and the last
+        # enters at t = 4.05, so phi stays at 2.2 in between.  The slope the
+        # sweep carries there is 1.1e-16, not 0, so the running value reaches
+        # the target within the segment, at a t far beyond it.
+        x = np.array([0.35, 0.66, 0.37, -1.62])
+        w = np.array([0.9, 0.4, 0.9, 0.4])
+        y = _project_budget(x, w, 2.2, "ge")
+        assert y.tolist() == [1.0, 1.0, 1.0, 0.0]
+        _assert_projection_certificate(x, w, 2.2, "ge", y)
+
+    def test_every_projection_of_the_cycle_anti_sweep(self, monkeypatch):
+        # The 12-cycle's anti sweep at resolution 12 projects onto
+        # {w . eta <= b} through the reflection, with uniform weights whose
+        # events coincide.
+        calls = []
+
+        def recorded(x, w, b, sense):
+            y = _project_budget(x, w, b, sense)
+            calls.append((x, w, b, sense, y))
+            return y
+
+        monkeypatch.setattr(frontier, "_project_budget", recorded)
+        curve = anti_pareto_frontier(_cycle(), UNIFORM, resolution=12)
+        assert len(calls) > 1000
+        for call in calls:
+            _assert_projection_certificate(*call)
+        losses = curve.losses()
+        assert np.all(np.isfinite(losses)) and np.all(np.diff(losses) <= 0.0)
 
 
 class TestMultistart:

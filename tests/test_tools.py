@@ -10,7 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 with mock.patch.dict(os.environ):  # output_diff pins BLAS threads on import
     from bench_pair import spread, summarize
-    from output_diff import moved
+    from output_diff import frontier_census, frontier_curves, moved, moved_points
 
 DECLARED = [{"name": "run_s", "unit": "s", "better": "lower"}]
 
@@ -39,6 +39,74 @@ class TestMoved:
     def test_identical_yields_nothing(self):
         value = {"a": [1, {"b": [2.0, None]}], "c": "text"}
         assert list(moved(value, value)) == []
+
+
+class TestFrontierPoints:
+    def test_curves_of_each_summary(self):
+        cli = {"code": 0, "stderr": "",
+               "stdout": "kind,cost,loss,strategy\nPareto,0,2,1;1\nPareto,0.5,0,0;1\n"}
+        assert frontier_curves("pareto:cycle", cli) == {"pareto": [(0.0, 2.0), (0.5, 0.0)]}
+        curve = [[0.0, 2.0, [1.0], "Converged"], [1.0, 0.0, [0.0], "Converged"]]
+        assert frontier_curves("anti:3", curve) == {"anti": [(0.0, 2.0), (1.0, 0.0)]}
+        assembled = {"pareto": curve, "anti": curve[:1], "atoms": [[0]]}
+        assert frontier_curves("assemble:0", assembled) == {
+            "pareto": [(0.0, 2.0), (1.0, 0.0)], "anti": [(0.0, 2.0)]
+        }
+        assert frontier_curves("cstar:cycle", {"cstar": 0.5}) == {}
+        assert frontier_curves("pareto:1", {"error": "ValueError()"}) == {}
+        failed = {"code": 2, "stdout": "", "stderr": "error: budget"}
+        assert frontier_curves("anti:cycle", failed) == {}
+        assert frontier_curves("anti:2", None) == {}  # missing on one side
+
+    def test_gain_is_signed_towards_the_objective(self):
+        old = [(0.0, 2.0), (0.5, 1.0), (0.75, 0.5), (1.0, 0.0)]
+        new = [(0.0, 2.0), (0.5, 0.9), (0.75, 0.5 + 1e-13), (1.0, 0.0)]
+        pareto = list(moved_points("pareto", old, new))
+        assert [(p["cost"], p["verdict"]) for p in pareto] == [
+            (0.5, "better"), (0.75, "rounding")
+        ]
+        assert pareto[0]["gain"] == pytest.approx(0.1)
+        anti = list(moved_points("anti", old, new))
+        assert [p["verdict"] for p in anti] == ["worse", "rounding"]
+        assert anti[0]["gain"] == pytest.approx(-0.1)
+
+    def test_moved_cost_is_reported(self):
+        (point,) = moved_points("anti", [(0.3, 1.0)], [(0.31, 1.0)])
+        assert point["change_cost"] == 0.31 and point["verdict"] == "rounding"
+
+    def test_unequal_lengths_pair_by_cost(self):
+        # A Pareto sweep that reaches zero loss at an earlier budget stops there.
+        old = [(0.0, 2.0), (0.25, 1.0), (0.5, 0.1), (0.75, 0.0)]
+        new = [(0.0, 2.0), (0.25, 1.2), (0.75, 0.0)]
+        assert [(p["cost"], p["verdict"]) for p in moved_points("pareto", old, new)] == [
+            (0.25, "worse")
+        ]
+
+    def test_census(self):
+        def point(verdict, gain):
+            return {"kind": "pareto", "cost": 0.5, "base_loss": 1.0,
+                    "change_loss": 1.0 - gain, "gain": gain, "verdict": verdict}
+
+        def entry(*points):
+            return {"identical": False, "frontier_points": list(points)}
+
+        outputs = {
+            "frontier-reducible seed 1 pareto:0": entry(
+                point("worse", -0.1), point("better", 0.2)),
+            "frontier-reducible seed 1 anti:0": entry(point("worse", -0.3)),
+            "frontier-reducible seed 1 anti:1": entry(),  # a strategy moved
+            "frontier-cycle12 seed 1 pareto:cycle": entry(point("rounding", 1e-15)),
+            "eradication seed 1 cstar:cycle": {"identical": True},
+        }
+        census = frontier_census(outputs)
+        reducible = census["by_workload"]["frontier-reducible"]
+        assert (reducible["outputs"], reducible["points"]) == (3, 3)
+        assert (reducible["better"], reducible["worse"], reducible["rounding"]) == (1, 2, 0)
+        worst = reducible["largest_worsening"]
+        assert worst["output"] == "frontier-reducible seed 1 anti:0"
+        cycle = census["by_workload"]["frontier-cycle12"]
+        assert (cycle["rounding"], cycle["largest_worsening"]) == (1, None)
+        assert census["largest_worsening"]["gain"] == -0.3
 
 
 def run(value, correct=True):

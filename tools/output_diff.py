@@ -11,7 +11,12 @@ benchmark checks byte for byte from round to round.
 
 The output file records, per operation, whether the two summaries are
 identical, and for each output that moved the old and new value of every
-entry that differs.
+entry that differs.  For a moved frontier output (a Pareto or anti-Pareto
+sweep, or an assembly's two curves) it also lists every moved point: its
+cost, old and new loss, and the gain towards the curve's objective (lower
+loss on the Pareto side, higher on the anti side), judged better, worse, or
+rounding within ``ROUNDING`` relative.  A ``frontier`` section counts these
+per workload and names the largest worsening.
 """
 
 from __future__ import annotations
@@ -73,6 +78,86 @@ def moved(old, new, path: str = ""):
         yield {"path": path or "/", "base": old, "change": new}
 
 
+ROUNDING = 1e-12
+
+
+def _workloads():
+    """This tree's ``perfbench/workloads.py``, imported on first use: the
+    processes of ``side_outputs`` must each import their own tree's."""
+    perfbench = str(ROOT / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
+    return importlib.import_module("workloads")
+
+
+def frontier_curves(op: str, summary) -> dict[str, list]:
+    """The frontier curves of one operation's summary as {kind: [(cost, loss)]},
+    kind ``pareto`` or ``anti``; empty for any other operation, or one that
+    failed or is missing on one side."""
+    kind = op.split(":")[0]
+    if kind not in ("pareto", "anti", "assemble") or summary is None or "error" in summary:
+        return {}
+    if kind == "assemble":
+        return {k: [tuple(p[:2]) for p in summary[k]] for k in ("pareto", "anti")}
+    if isinstance(summary, dict):  # the CLI's captured output
+        try:
+            rows = _workloads().parse_frontier_csv(summary)
+        except ValueError:  # a failed command
+            return {}
+        return {kind: [(float(c), float(loss)) for c, loss, _ in rows]}
+    return {kind: [tuple(p[:2]) for p in summary]}
+
+
+def moved_points(kind: str, old: list, new: list):
+    """Each point of one curve whose cost or loss moved.  Points pair by
+    position when both curves have as many, otherwise by cost."""
+    if len(old) == len(new):
+        pairs = zip(old, new)
+    else:
+        by_cost = {round(c, 12): (c, loss) for c, loss in new}
+        pairs = [(p, by_cost[round(p[0], 12)]) for p in old if round(p[0], 12) in by_cost]
+    sign = 1.0 if kind == "pareto" else -1.0
+    for (c0, l0), (c1, l1) in pairs:
+        if (c0, l0) == (c1, l1):
+            continue
+        gain = sign * (l0 - l1)
+        verdict = ("rounding" if abs(gain) <= ROUNDING * max(1.0, abs(l0))
+                   else "better" if gain > 0 else "worse")
+        point = {"kind": kind, "cost": c0, "base_loss": l0, "change_loss": l1,
+                 "gain": gain, "verdict": verdict}
+        if c1 != c0:
+            point["change_cost"] = c1
+        yield point
+
+
+def frontier_census(outputs: dict) -> dict:
+    """Per workload: moved frontier outputs (a strategy alone may have
+    moved), moved points by verdict, and the largest worsening; and the
+    largest worsening over all workloads."""
+    by_workload = {}
+    for key, entry in outputs.items():
+        points = entry.get("frontier_points")
+        if points is None:
+            continue
+        census = by_workload.setdefault(key.split(" seed ")[0], {
+            "outputs": 0, "points": 0, "better": 0, "worse": 0, "rounding": 0,
+            "largest_worsening": None,
+        })
+        census["outputs"] += 1
+        census["points"] += len(points)
+        for point in points:
+            census[point["verdict"]] += 1
+            worst = census["largest_worsening"]
+            if point["verdict"] == "worse" and (
+                worst is None or point["gain"] < worst["gain"]
+            ):
+                census["largest_worsening"] = {"output": key, **point}
+    worsts = [c["largest_worsening"] for c in by_workload.values()]
+    worsts = [p for p in worsts if p is not None]
+    return {"by_workload": by_workload,
+            "largest_worsening": min(worsts, key=lambda p: p["gain"], default=None)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="revision to compare against, e.g. HEAD")
@@ -99,7 +184,17 @@ def main(argv=None) -> int:
         old, new = (sides[s].get(key, "null") for s in ("base", "change"))
         outputs[key] = {"identical": old == new}
         if old != new:
-            outputs[key]["moved"] = list(moved(json.loads(old), json.loads(new)))
+            old, new = json.loads(old), json.loads(new)
+            outputs[key]["moved"] = list(moved(old, new))
+            op = key.split(" ")[-1]
+            base_curves, change_curves = (frontier_curves(op, v) for v in (old, new))
+            points = [
+                point
+                for kind in sorted(base_curves.keys() & change_curves.keys())
+                for point in moved_points(kind, base_curves[kind], change_curves[kind])
+            ]
+            if base_curves or change_curves:
+                outputs[key]["frontier_points"] = points
     document = {
         "base": {"rev": args.rev, "commit": base_sha},
         "change": {"tree": "working tree", "head": git("rev-parse", "HEAD"),
@@ -107,6 +202,7 @@ def main(argv=None) -> int:
         "seeds": seeds,
         "operations": len(outputs),
         "identical": sum(entry["identical"] for entry in outputs.values()),
+        "frontier": frontier_census(outputs),
         "outputs": outputs,
     }
     Path(args.out).write_text(json.dumps(document, indent=1) + "\n")
