@@ -26,6 +26,7 @@ from .model import (
     CostFunction,
     MetapopModel,
     Strategy,
+    _check_int,
     _read_json,
     cost,
     grid_to_model,
@@ -122,6 +123,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    # Checked whatever the verdict, though only an Indeterminate one probes.
+    _check_int("probe", args.probe, 0)
+    _check_int("seed", args.seed, 0)
     model = _load_input(args)
     verdict = classify_convexity(model)
     document = {
@@ -183,6 +187,9 @@ def _curve_rows(curve):
 
 
 def cmd_frontier(args) -> int:
+    # Checked with or without --plot-data, which alone reads them.
+    _check_int("samples", args.samples, 1)
+    _check_int("seed", args.seed, 0)
     model = _load_input(args)
     cost_fn = _parse_cost(args.cost)
     kind = "both" if args.plot_data else args.kind

@@ -290,6 +290,35 @@ class TestNegativeSeed:
         assert "seed" in err
 
 
+class TestFlagsCheckedUpFront:
+    # Refused before any work, whatever the model's verdict and whether or
+    # not --plot-data reads the flag.
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["classify", "--probe", "-3"], "probe"),
+            (["classify", "--seed", "-1"], "seed"),
+            (["frontier", "--resolution", "2", "--seed", "-1"], "seed"),
+            (["frontier", "--resolution", "2", "--samples", "-1"], "samples"),
+            (["frontier", "--resolution", "2", "--samples", "0"], "samples"),
+        ],
+        ids=["classify-probe", "classify-seed", "frontier-seed", "frontier-samples",
+             "frontier-zero-samples"],
+    )
+    @pytest.mark.parametrize(
+        "fixture",
+        [fixtures.positive_definite_model, fixtures.counterexample_positive_spectrum],
+        ids=["convex", "indeterminate"],
+    )
+    def test_exit_2(self, capsys, tmp_path, argv, flag, fixture):
+        path = tmp_path / "model.json"
+        save_model(fixture(), str(path))
+        code, out, err = run(capsys, argv + ["--model", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and flag in err
+
+
 class TestVerifyPaper:
     def test_cycle_criterion_passes(self, capsys):
         code, out, _ = run(capsys, ["verify-paper", "--only", "cycle"])

@@ -460,7 +460,7 @@ class TestProjectBudget:
         _assert_projection_certificate(x, w, 2.2, "ge", y)
 
     def test_every_projection_of_the_cycle_anti_sweep(self, monkeypatch):
-        # The 12-cycle's anti sweep at resolution 12 projects onto
+        # The 12-cycle's anti sweep at resolution 16 projects onto
         # {w . eta <= b} through the reflection, with uniform weights whose
         # events coincide.
         calls = []
@@ -471,7 +471,7 @@ class TestProjectBudget:
             return y
 
         monkeypatch.setattr(frontier, "_project_budget", recorded)
-        curve = anti_pareto_frontier(_cycle(), UNIFORM, resolution=12)
+        curve = anti_pareto_frontier(_cycle(), UNIFORM, resolution=16)
         assert len(calls) > 1000
         for call in calls:
             _assert_projection_certificate(*call)
@@ -517,7 +517,7 @@ class TestParetoFrontier:
         ids=["pareto", "anti"],
     )
     def test_invariants_computed_once_per_sweep(self, monkeypatch, sweep, erad_calls):
-        calls = {"eradication_cost": 0, "classify_convexity": 0}
+        calls = {"eradication_cost": 0, "classify_convexity": 0, "_atoms": 0}
         for name in calls:
 
             def counted(*args, _name=name, _original=getattr(frontier, name), **kw):
@@ -526,7 +526,9 @@ class TestParetoFrontier:
 
             monkeypatch.setattr(frontier, name, counted)
         sweep(fixtures.cycle_model(), UNIFORM, resolution=8)
-        assert calls == {"eradication_cost": erad_calls, "classify_convexity": 1}
+        assert calls == {
+            "eradication_cost": erad_calls, "classify_convexity": 1, "_atoms": 1
+        }
 
     def test_scalar_segment(self):
         curve = pareto_frontier(scalar_model(3.0), UNIFORM, resolution=8)
@@ -592,6 +594,84 @@ class TestParetoFrontier:
 
         for point in curve.points:
             assert point.loss == pytest.approx(greedy(point.cost), abs=1e-6)
+
+
+def _two_atom_model():
+    """Two 2-group atoms with radii 1.557 and 1.575; the second infects the
+    first.  The radii tie along the Pareto frontier."""
+    k = np.array([
+        [0.9, 0.6, 0.3, 0.0],
+        [0.5, 1.1, 0.2, 0.4],
+        [0.0, 0.0, 1.0, 0.7],
+        [0.0, 0.0, 0.8, 0.6],
+    ])
+    return MetapopModel(weights=np.array([0.375, 0.125, 0.25, 0.25]), matrix=k)
+
+
+# (loss, strategy) per point, as hex floats, of the two-atom model's sweeps
+# at resolution 4 and the low effort of ``frontier-reducible``, recorded
+# before the two-point first trial existed.  Models of several atoms keep
+# the 4x rule, so these stay byte-equal.
+_TWO_ATOM_PARETO = [
+    ("0x1.9318c46ec85f0p+0", ("0x1.0000000000000p+0", "0x1.0000000000000p+0",
+                              "0x1.0000000000000p+0", "0x1.0000000000000p+0")),
+    ("0x1.fc88c7e8dfc26p-1", ("0x1.ecdefca40966ap-1", "0x1.2d37a089f7a33p-2",
+                              "0x1.a4c955e26bcaap-2", "0x1.fefef1f63e17ep-1")),
+    ("0x1.3c3a61bfcae86p-1", ("0x1.55543cfab5b6ep-1", "0x1.96cec7c6ae9ecp-5",
+                              "0x1.8465f2ac77e85p-4", "0x1.c2be6ff42afbap-1")),
+    ("0x1.33d19d9595d1dp-2", ("0x1.4cf4e1f7066e8p-2", "0x1.7114cd2f94ec9p-6",
+                              "0x0.0p+0", "0x1.00840351fcd98p-1")),
+    ("0x0.0p+0", ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0")),
+]
+_TWO_ATOM_ANTI = [
+    ("0x1.9318c46ec85f0p+0", ("0x0.0p+0", "0x0.0p+0",
+                              "0x1.0000000000000p+0", "0x1.0000000000000p+0")),
+    ("0x1.5cc2ceeac6a38p+0", ("0x1.5555555555558p-1", "0x1.0000000000000p+0",
+                              "0x0.0p+0", "0x0.0p+0")),
+    ("0x1.35bc226074663p+0", ("0x1.5555555555555p-2", "0x1.0000000000000p+0",
+                              "0x0.0p+0", "0x0.0p+0")),
+    ("0x1.199999999999ap+0", ("0x0.0p+0", "0x1.0000000000000p+0",
+                              "0x0.0p+0", "0x0.0p+0")),
+    ("0x0.0p+0", ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0")),
+]
+
+
+class TestStepRule:
+    EFFORT = dict(resolution=4, starts=3, max_iter=80, window_tol=3e-7)
+
+    @pytest.mark.parametrize(
+        "sweep, expected",
+        [(pareto_frontier, _TWO_ATOM_PARETO), (anti_pareto_frontier, _TWO_ATOM_ANTI)],
+        ids=["pareto", "anti"],
+    )
+    def test_two_atom_sweeps_keep_their_bytes(self, sweep, expected):
+        curve = sweep(_two_atom_model(), UNIFORM, **self.EFFORT)
+        got = [
+            (p.loss.hex(), tuple(v.hex() for v in p.strategy.values))
+            for p in curve.points
+        ]
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "model, single_atom",
+        [(fixtures.cycle_model(), True), (_two_atom_model(), False)],
+        ids=["one-atom", "two-atoms"],
+    )
+    @pytest.mark.parametrize(
+        "sweep", [pareto_frontier, anti_pareto_frontier], ids=["pareto", "anti"]
+    )
+    def test_two_point_trial_only_on_one_atom(self, monkeypatch, model, single_atom,
+                                              sweep):
+        flags = set()
+        original = frontier._pgd
+
+        def recorded(*args, **kw):
+            flags.add(kw["single_atom"])
+            return original(*args, **kw)
+
+        monkeypatch.setattr(frontier, "_pgd", recorded)
+        sweep(model, UNIFORM, **self.EFFORT)
+        assert flags == {single_atom}
 
 
 class TestAntiParetoFrontier:

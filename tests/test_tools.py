@@ -11,6 +11,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 with mock.patch.dict(os.environ):  # output_diff pins BLAS threads on import
     from bench_pair import spread, summarize
     from output_diff import frontier_census, frontier_curves, moved, moved_points
+    from solver_panel import area, compare
 
 DECLARED = [{"name": "run_s", "unit": "s", "better": "lower"}]
 
@@ -115,6 +116,49 @@ def run(value, correct=True):
 
 def failed_run():
     return {"correct": False, "failed": None, "metrics": {}, "error": "boom"}
+
+
+def _panel_point(kind, cost, loss, re=0, grad=0, fd=0, model="m"):
+    return {"model": model, "kind": kind, "cost": cost, "loss": loss,
+            "re": re, "grad": grad, "fd": fd}
+
+
+class TestSolverPanel:
+    def test_area_is_the_trapezoid_rule_in_cost_order(self):
+        points = [_panel_point("pareto", 1.0, 0.0), _panel_point("pareto", 0.0, 2.0),
+                  _panel_point("pareto", 0.5, 1.0)]
+        assert area(points) == 0.75 + 0.25
+
+    def test_gains_verdicts_and_summary(self):
+        base = [
+            _panel_point("pareto", 0.0, 2.0),
+            _panel_point("pareto", 0.5, 1.0, re=10, grad=4),
+            _panel_point("pareto", 0.75, 0.5, re=8, grad=2, fd=1),
+            _panel_point("pareto", 1.0, 0.0),
+            _panel_point("anti", 0.5, 1.5, re=6, grad=3),
+            _panel_point("anti", 0.75, 1.25),
+        ]
+        change = [
+            _panel_point("pareto", 0.0, 2.0),
+            _panel_point("pareto", 0.5, 0.9, re=5, grad=2),
+            _panel_point("pareto", 0.75, 0.5 + 1e-15, re=4, grad=2),
+            _panel_point("anti", 0.5, 1.25, re=3, grad=2),
+            _panel_point("anti", 0.75, 1.25),
+        ]
+        result = compare(base, change)
+        verdicts = [(r["kind"], r["cost"], r["verdict"]) for r in result["points"]]
+        assert verdicts == [
+            ("pareto", 0.0, "same"), ("pareto", 0.5, "better"),
+            ("pareto", 0.75, "rounding"), ("anti", 0.5, "worse"), ("anti", 0.75, "same"),
+        ]
+        gains = [r["gain"] for r in result["points"]]
+        assert gains[1] == pytest.approx(0.1) and gains[3] == -0.25
+        pareto, anti = result["summary"]["pareto"], result["summary"]["anti"]
+        assert pareto["unpaired"] == 1 and anti["unpaired"] == 0
+        assert pareto["largest_worsening"] is None
+        assert anti["largest_worsening"]["cost"] == 0.5
+        assert pareto["base_calls"] == {"re": 18, "grad": 6, "fd": 1}
+        assert pareto["change_calls"] == {"re": 9, "grad": 4, "fd": 0}
 
 
 class TestSpread:

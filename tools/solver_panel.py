@@ -1,0 +1,215 @@
+"""Quality and call counts of the frontier solver on a broad panel, a
+revision against the working tree.
+
+    python3 tools/solver_panel.py REV [--resolution 8] [--out PANEL.json]
+
+The panel is the cycles of 8, 16, 20, 24 and 30 groups, and six seeded
+irreducible draws of 4 to 10 groups (``acceptance.random_model`` at density
+0.5, redrawn until the support is strongly connected).  Each model is swept
+on both sides, ``pareto_frontier`` and ``anti_pareto_frontier``, with
+uniform costs and the default effort.  REV's committed files are extracted
+as ``bench_pair.py`` does; each side runs in a fresh process that imports
+vaxfront from its own tree, with one BLAS thread.
+
+Per point it reports the cost, the old and new loss, the signed gain
+towards the curve's objective (lower loss on the Pareto side, higher on the
+anti side) and, old and new, the calls that the solve of that budget made in
+the projected-gradient loop: R_e evaluations, eigenvector gradients and
+finite-difference gradients.  Endpoints have no solve.  Points pair by cost.
+A summary per side follows: moved points by verdict, the largest worsening,
+the total calls and the summed area under the curves.  ``--out`` also
+writes every point as JSON.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import importlib  # noqa: E402
+import json  # noqa: E402
+import math  # noqa: E402
+import multiprocessing  # noqa: E402
+import shutil  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_pair import ROOT, extract, git  # noqa: E402
+
+CYCLES = (8, 16, 20, 24, 30)
+DRAW_SIZES = (4, 5, 6, 8, 9, 10)
+DRAW_DENSITY = 0.5
+PANEL_SEED = 2110_12693
+ROUNDING = 1e-12
+# The solver's calls, looked up by ``_pgd`` in the frontier module.
+COUNTED = {"re": "_matrix_re", "grad": "re_gradient", "fd": "_fd_gradient"}
+
+
+def panel(vf) -> dict:
+    """{label: model}: the cycles, then the irreducible draws."""
+    acceptance = importlib.import_module("vaxfront.acceptance")
+    fixtures = importlib.import_module("vaxfront.fixtures")
+    models = {f"cycle{n}": fixtures.cycle_model(n) for n in CYCLES}
+    for i, n in enumerate(DRAW_SIZES):
+        rng = np.random.default_rng([PANEL_SEED, i])
+        while True:
+            model = acceptance.random_model(rng, n, density=DRAW_DENSITY)
+            atoms = vf.frobenius_decompose(model).atoms
+            if len(atoms) == 1 and len(atoms[0]) == n:
+                break
+        models[f"draw{i}-n{n}"] = model
+    return models
+
+
+def side_points(root: str, resolution: int) -> list[dict]:
+    """Every point of every panel sweep on the tree at ``root``, with the
+    calls of the solve that produced it.  Meant for a fresh process: it
+    puts that tree's ``src/`` first on the import path."""
+    sys.path.insert(0, str(Path(root) / "src"))
+    vf = importlib.import_module("vaxfront")
+    frontier = importlib.import_module("vaxfront.frontier")
+    counts = dict.fromkeys(COUNTED, 0)
+    for key, name in COUNTED.items():
+        original = getattr(frontier, name)
+
+        def counted(*args, _key=key, _original=original, **kw):
+            counts[_key] += 1
+            return _original(*args, **kw)
+
+        setattr(frontier, name, counted)
+    by_cost = {}
+    sweep = frontier._sweep
+
+    def counted_sweep(first, budgets, solve, maximize):
+        def counted_solve(c, extra):
+            before = dict(counts)
+            point = solve(c, extra)
+            by_cost[c] = {k: counts[k] - before[k] for k in counts}
+            return point
+
+        return sweep(first, budgets, counted_solve, maximize)
+
+    frontier._sweep = counted_sweep
+    uniform = vf.CostFunction.uniform()
+    points = []
+    for label, model in panel(vf).items():
+        for kind, run in (("pareto", vf.pareto_frontier), ("anti", vf.anti_pareto_frontier)):
+            by_cost.clear()
+            curve = run(model, uniform, resolution=resolution)
+            for p in curve.points:
+                calls = by_cost.get(p.cost, dict.fromkeys(COUNTED, 0))
+                points.append({"model": label, "kind": kind, "cost": p.cost,
+                               "loss": p.loss, **calls})
+    return points
+
+
+def area(points: list[dict]) -> float:
+    """Trapezoid area under one curve, ordered by cost."""
+    points = sorted(points, key=lambda p: p["cost"])
+    return math.fsum(
+        (b["cost"] - a["cost"]) * (a["loss"] + b["loss"]) / 2.0
+        for a, b in zip(points, points[1:])
+    )
+
+
+def compare(base: list[dict], change: list[dict]) -> dict:
+    """Points paired by (model, kind, cost), with their gain and verdict,
+    and a summary per side."""
+    def key(p):
+        return p["model"], p["kind"], round(p["cost"], 12)
+
+    new = {key(p): p for p in change}
+    rows = []
+    for old in base:
+        p = new.get(key(old))
+        if p is None:
+            continue
+        gain = (1.0 if old["kind"] == "pareto" else -1.0) * (old["loss"] - p["loss"])
+        verdict = ("same" if old["loss"] == p["loss"]
+                   else "rounding" if abs(gain) <= ROUNDING * max(1.0, abs(old["loss"]))
+                   else "better" if gain > 0 else "worse")
+        rows.append({"model": old["model"], "kind": old["kind"], "cost": old["cost"],
+                     "base_loss": old["loss"], "change_loss": p["loss"], "gain": gain,
+                     "verdict": verdict,
+                     **{f"base_{k}": old[k] for k in COUNTED},
+                     **{f"change_{k}": p[k] for k in COUNTED}})
+    summary = {}
+    for kind in ("pareto", "anti"):
+        mine = [r for r in rows if r["kind"] == kind]
+        worse = [r for r in mine if r["verdict"] == "worse"]
+        entry = {v: sum(r["verdict"] == v for r in mine)
+                 for v in ("same", "rounding", "better", "worse")}
+        entry["unpaired"] = (sum(p["kind"] == kind for p in base)
+                             + sum(p["kind"] == kind for p in change) - 2 * len(mine))
+        entry["largest_worsening"] = min(worse, key=lambda r: r["gain"], default=None)
+        for side, points in (("base", base), ("change", change)):
+            own = [p for p in points if p["kind"] == kind]
+            entry[f"{side}_calls"] = {k: sum(p[k] for p in own) for k in COUNTED}
+            models = sorted({p["model"] for p in own})
+            entry[f"{side}_area"] = math.fsum(
+                area([p for p in own if p["model"] == m]) for m in models
+            )
+        summary[kind] = entry
+    return {"points": rows, "summary": summary}
+
+
+def report(result: dict) -> str:
+    lines = ["| model | side | cost | old loss | new loss | gain | verdict | "
+             "old R_e/grad/fd | new R_e/grad/fd |", "|---" * 9 + "|"]
+    for r in result["points"]:
+        old = "/".join(str(r[f"base_{k}"]) for k in COUNTED)
+        new = "/".join(str(r[f"change_{k}"]) for k in COUNTED)
+        lines.append(f"| {r['model']} | {r['kind']} | {r['cost']:.6g} | "
+                     f"{r['base_loss']:.10g} | {r['change_loss']:.10g} | "
+                     f"{r['gain']:+.3g} | {r['verdict']} | {old} | {new} |")
+    for kind, s in result["summary"].items():
+        worst = s["largest_worsening"]
+        lines.append(
+            f"{kind}: {s['same']} same, {s['rounding']} rounding, {s['better']} better, "
+            f"{s['worse']} worse, {s['unpaired']} unpaired; calls R_e/grad/fd "
+            f"{'/'.join(str(v) for v in s['base_calls'].values())} -> "
+            f"{'/'.join(str(v) for v in s['change_calls'].values())}; area "
+            f"{s['base_area']:.6f} -> {s['change_area']:.6f}; largest worsening "
+            + (f"{worst['gain']:+.3g} ({worst['model']} at c = {worst['cost']:.6g})"
+               if worst else "none")
+        )
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", help="revision to compare against, e.g. HEAD")
+    parser.add_argument("--resolution", type=int, default=8)
+    parser.add_argument("--out", help="also write every point as JSON to this file")
+    args = parser.parse_args(argv)
+
+    base_sha = git("rev-parse", args.rev)
+    context = multiprocessing.get_context("spawn")
+    base_dir = Path(tempfile.mkdtemp(prefix="solver-panel-"))
+    try:
+        extract(base_sha, base_dir)
+        sides = {}
+        for side, root in (("base", base_dir), ("change", ROOT)):
+            with context.Pool(1) as pool:
+                sides[side] = pool.apply(side_points, (str(root), args.resolution))
+    finally:
+        shutil.rmtree(base_dir, ignore_errors=True)
+    result = compare(sides["base"], sides["change"])
+    print(report(result))
+    if args.out:
+        document = {"base": {"rev": args.rev, "commit": base_sha},
+                    "change": {"tree": "working tree", "head": git("rev-parse", "HEAD")},
+                    "resolution": args.resolution, **result}
+        Path(args.out).write_text(json.dumps(document, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
