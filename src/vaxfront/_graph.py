@@ -28,10 +28,14 @@ def support_components(matrix: np.ndarray, threshold: float = 0.0):
 
 
 def tarjan_sccs(successors) -> list[list[int]]:
-    """Strongly connected components, iterative Tarjan.
+    """Strongly connected components, iterative Tarjan, each sorted.
 
-    Components are returned sorted by their smallest member, each component
-    itself sorted.
+    Components come in the order the search finishes them: every component
+    after the ones it reaches, so with infector -> infectee successor lists
+    the infected come before their infectors, and reversed the order starts
+    at infection sources.  Roots are taken from the highest group down, so
+    components that no path orders tend to come highest first, as in a
+    reversed topological sort that breaks ties by smallest member.
     """
     n = len(successors)
     index = [-1] * n
@@ -40,7 +44,7 @@ def tarjan_sccs(successors) -> list[list[int]]:
     stack: list[int] = []
     sccs: list[list[int]] = []
     counter = 0
-    for root in range(n):
+    for root in reversed(range(n)):
         if index[root] != -1:
             continue
         work = [(root, 0)]
@@ -76,44 +80,4 @@ def tarjan_sccs(successors) -> list[list[int]]:
                     if w == v:
                         break
                 sccs.append(sorted(comp))
-    sccs.sort(key=lambda comp: comp[0])
     return sccs
-
-
-def condensation_topological(sccs, successors) -> list[int]:
-    """Kahn topological order of the condensation, smallest-member tie-break.
-
-    Edges keep their direction, so with infector -> infectee successor lists
-    the order starts at infection sources.
-    """
-    if len(sccs) == 1:
-        return [0]
-    comp_of = {}
-    for ci, comp in enumerate(sccs):
-        for v in comp:
-            comp_of[v] = ci
-    out = [set() for _ in sccs]
-    indeg = [0] * len(sccs)
-    for v in range(len(successors)):
-        for w in successors[v]:
-            a, b = comp_of[v], comp_of[w]
-            if a != b and b not in out[a]:
-                out[a].add(b)
-                indeg[b] += 1
-    ready = sorted(
-        (ci for ci in range(len(sccs)) if indeg[ci] == 0),
-        key=lambda ci: sccs[ci][0],
-    )
-    order = []
-    while ready:
-        ci = ready.pop(0)
-        order.append(ci)
-        changed = False
-        for nb in out[ci]:
-            indeg[nb] -= 1
-            if indeg[nb] == 0:
-                ready.append(nb)
-                changed = True
-        if changed:
-            ready.sort(key=lambda c: sccs[c][0])
-    return order

@@ -128,15 +128,10 @@ def cmd_classify(args) -> int:
     _check_int("seed", args.seed, 0)
     model = _load_input(args)
     verdict = classify_convexity(model)
+    balance = verdict.symmetrization
     document = {
-        "symmetrizable": bool(
-            verdict.symmetrization and verdict.symmetrization.symmetrizable
-        ),
-        "d": (
-            list(verdict.symmetrization.d)
-            if verdict.symmetrization and verdict.symmetrization.d is not None
-            else None
-        ),
+        "symmetrizable": balance.symmetrizable,
+        "d": None if balance.d is None else list(balance.d),
         "inertia": list(verdict.inertia) if verdict.inertia else None,
         "verdict": verdict.verdict,
         "witness": None,

@@ -2,12 +2,14 @@
 
 A nonnegative matrix K is diagonally symmetrizable when positive d_i exist
 with d_i K_ij = d_j K_ji; it is then similar to the symmetric matrix
-M = D^(1/2) K D^(-1/2) and has a real spectrum.  For symmetrizable K the
-inertia of M settles convexity: no negative eigenvalues make R_e convex, a
-single positive eigenvalue makes it concave.  Outside the symmetrizable
-class no verdict is available (the spectral conditions alone are not
-sufficient), and a randomized probe can exhibit explicit violations of both
-convexity and concavity.
+M = D^(1/2) K D^(-1/2) and has a real spectrum.  ``MetapopModel`` derives d
+and M once, accepting a balance within 1e-8 relative; ``spectral`` takes its
+symmetric route on the same d where the balance holds to 1e-12.  For
+symmetrizable K the inertia of M settles convexity: no negative eigenvalues
+make R_e convex, a single positive eigenvalue makes it concave.  Outside the
+symmetrizable class no verdict is available (the spectral conditions alone
+are not sufficient), and a randomized probe can exhibit explicit violations
+of both convexity and concavity.
 """
 
 from __future__ import annotations
@@ -17,70 +19,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model import MetapopModel, _check_int
+from .model import MetapopModel, SymmetrizabilityResult, _check_int
 from .spectral import effective_re_batch, inertia, spectral_radius
 
-SYMMETRIZABLE_RTOL = 1e-8
 WITNESS_GAP = 1e-6
 LINEAR_GAP = 1e-12
 
 
-@dataclass(frozen=True)
-class SymmetrizabilityResult:
-    """Balancing vector d and symmetrized matrix, when they exist.
-
-    ``d`` is normalized so each support component has minimum entry 1;
-    isolated groups get d = 1.
-    """
-
-    symmetrizable: bool
-    d: np.ndarray | None = None
-    symmetrized: np.ndarray | None = None
-
-
 def symmetrize(model: MetapopModel) -> SymmetrizabilityResult:
-    """Detect diagonal symmetrizability by spanning-forest propagation.
-
-    The support must be symmetric; d is propagated from an arbitrary root of
-    each support component (d_j = d_i K_ij / K_ji along edges) and every
-    off-forest edge is checked against the balance condition with relative
-    tolerance 1e-8.
-    """
-    k = model.matrix
-    n = model.n
-    pos = k > 0
-    if not np.array_equal(pos, pos.T):
-        return SymmetrizabilityResult(symmetrizable=False)
-    d = np.ones(n)
-    assigned = np.zeros(n, dtype=bool)
-    off_diag = pos & ~np.eye(n, dtype=bool)
-    for root in range(n):
-        if assigned[root]:
-            continue
-        assigned[root] = True
-        if not off_diag[root].any():
-            continue
-        component = [root]
-        queue = [root]
-        while queue:
-            i = queue.pop(0)
-            for j in np.nonzero(off_diag[i])[0]:
-                if assigned[j]:
-                    continue
-                d[j] = d[i] * k[i, j] / k[j, i]
-                assigned[j] = True
-                component.append(int(j))
-                queue.append(int(j))
-        comp = np.array(component)
-        d[comp] /= d[comp].min()
-    balanced = d[:, None] * k
-    gap = np.abs(balanced - balanced.T)
-    ref = np.maximum(balanced, balanced.T)
-    if np.any(gap > SYMMETRIZABLE_RTOL * np.maximum(ref, ref.max() * 1e-30)):
-        return SymmetrizabilityResult(symmetrizable=False)
-    root_d = np.sqrt(d)
-    symmetrized = (root_d[:, None] / root_d[None, :]) * k
-    return SymmetrizabilityResult(symmetrizable=True, d=d, symmetrized=symmetrized)
+    """Diagonal symmetrizability of the model's K within 1e-8 relative: the
+    balance the model derives once."""
+    return model._balance
 
 
 @dataclass(frozen=True)
@@ -121,8 +70,7 @@ def classify_convexity(model: MetapopModel) -> ConvexityVerdict:
     """
     sym = symmetrize(model)
     if sym.symmetrizable:
-        m = sym.symmetrized
-        p, neg = inertia(0.5 * (m + m.T))
+        p, neg = inertia(sym.symmetrized)
         if neg == 0 and p <= 1:
             return ConvexityVerdict(
                 "Linear", "ConfigurationRankOne", (p, neg), sym

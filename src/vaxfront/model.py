@@ -13,6 +13,7 @@ so doing nothing is the all-ones vector.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Sequence
@@ -26,6 +27,11 @@ from .errors import DimensionMismatch, ParseError, ValidationError
 # then renormalized so that math.fsum(weights) == 1.0 holds exactly.
 WEIGHT_SUM_TOL = 1e-9
 _WEIGHT_SUM_INVARIANT = 1e-12
+# K is diagonally symmetrizable when positive d give d_i K_ij = d_j K_ji within
+# 1e-8 relative; the symmetric eigensolver needs the balance to rounding.
+SYMMETRIZABLE_RTOL = 1e-8
+BALANCED_RTOL = 1e-12
+_BALANCE_ROWS = 64  # rows per block of the balance check: no N x N temporaries
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -60,6 +66,80 @@ def _pin_weight_sum(w: np.ndarray) -> np.ndarray:
         w = w.copy()
         w[int(np.argmax(w))] -= residual
     return w
+
+
+@dataclass(frozen=True)
+class SymmetrizabilityResult:
+    """Balancing vector d, M = D^(1/2) K D^(-1/2) and the balance residual.
+
+    ``d`` has minimum entry 1 on each support component, 1 on isolated
+    groups.  ``symmetrized`` is M mirrored from its lower triangle, K itself
+    when K is symmetric.  ``residual``, the largest |d_i K_ij - d_j K_ji|
+    relative to the larger of the two, is inf when K is not symmetrizable.
+    """
+
+    symmetrizable: bool
+    d: np.ndarray | None = None
+    symmetrized: np.ndarray | None = None
+    residual: float = math.inf
+
+
+def _symmetrizability(k: np.ndarray) -> SymmetrizabilityResult:
+    """Balancing vector d of K, its residual and M = D^(1/2) K D^(-1/2).
+
+    The support must be symmetric.  Each component is searched breadth first
+    from its lowest group, a level at a time in FIFO order with neighbours
+    ascending, setting d_j = d_i K_ij / K_ji along the forest's edges; then d
+    is scaled to minimum 1 on the component.  The balance is checked on the
+    lower triangle in row blocks, stopping at the first gap above 1e-8
+    relative.  An exactly symmetric K has d = 1 and M = K.
+    """
+    n = k.shape[0]
+    if np.array_equal(k, k.T):
+        return SymmetrizabilityResult(True, _as_readonly(np.ones(n)), k, 0.0)
+    edges = k > 0
+    if not np.array_equal(edges, edges.T):
+        return SymmetrizabilityResult(False)
+    d = np.ones(n)
+    assigned = np.zeros(n, dtype=bool)
+    # d can over- or underflow; the NaN gap that follows fails the check.
+    with np.errstate(all="ignore"):
+        while not assigned.all():
+            root = int(assigned.argmin())  # the lowest unassigned group
+            assigned[root] = True
+            component = level = np.array([root])
+            while level.size:
+                free = np.flatnonzero(~assigned)
+                hit = edges[np.ix_(level, free)]
+                reached = hit.any(axis=0)
+                first = hit.argmax(axis=0)[reached]  # the earliest parent in the queue
+                order = np.argsort(first, kind="stable")
+                level, parent = free[reached][order], level[first[order]]
+                d[level] = d[parent] * k[parent, level] / k[level, parent]
+                assigned[level] = True
+                component = np.concatenate([component, level])
+            d[component] /= d[component].min()
+        floor = 1e-30 * float((d * k.max(axis=1)).max())
+        residual = 0.0
+        for start in range(0, n, _BALANCE_ROWS):
+            stop = min(start + _BALANCE_ROWS, n)
+            mine = d[start:stop, None] * k[start:stop, :stop]
+            theirs = (k[:stop, start:stop] * d[:stop, None]).T
+            gap = np.abs(mine - theirs) / np.maximum(np.maximum(mine, theirs), floor)
+            residual = max(float(gap.max()), residual)  # keeps a NaN gap
+            if not residual <= SYMMETRIZABLE_RTOL:
+                return SymmetrizabilityResult(False)
+    root_d = np.sqrt(d)
+    m = k * root_d[:, None]
+    m /= root_d
+    for start in range(0, n, _BALANCE_ROWS):  # mirror the lower triangle
+        stop = start + _BALANCE_ROWS
+        m[start:stop, stop:] = m[stop:, start:stop].T
+        square = m[start:stop, start:stop]
+        square[...] = np.tril(square) + np.tril(square, -1).T
+    d.setflags(write=False)
+    m.setflags(write=False)
+    return SymmetrizabilityResult(True, d, m, residual)
 
 
 @dataclass(frozen=True)
@@ -106,11 +186,11 @@ class MetapopModel:
             object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "weights", _as_readonly(w))
         object.__setattr__(self, "matrix", _as_readonly(k))
-        # Derived, not a field: an exactly symmetric K of several groups has
-        # R_e(eta) = rho(diag(sqrt(eta)) K diag(sqrt(eta))), which the
-        # symmetric eigensolver takes (see spectral.py); one group keeps its
-        # exact K00 * eta0.
-        object.__setattr__(self, "_symmetric", w.size > 1 and np.array_equal(k, k.T))
+
+    @functools.cached_property
+    def _balance(self) -> SymmetrizabilityResult:
+        """The balance that spectral.py and convexity.py read, on first use."""
+        return _symmetrizability(self.matrix)
 
     @property
     def n(self) -> int:

@@ -2,14 +2,17 @@
 
 Three routes are kept deliberately:
 
-* An exactly symmetric K (the flag ``MetapopModel`` derives at
-  construction) has R_e(eta) = rho(S) with S = diag(sqrt(eta)) K
-  diag(sqrt(eta)), since rho(AB) = rho(BA), and S is symmetric and
-  nonnegative, so its radius is its top eigenvalue.  ``effective_re``, its
-  batch and the solver take it with the symmetric eigensolver
-  (``eigvalsh``), backward stable and several times cheaper than general QR;
-  ``dominant_pair`` maps one ``eigh`` of S to the Perron pair.  A
-  one-group model keeps its exact entry K00 * eta0.
+* A K balanced to rounding, d_i K_ij = d_j K_ji within 1e-12 relative
+  (``BALANCED_RTOL``) for the d that ``MetapopModel`` derives once, is
+  similar to the symmetric M = D^(1/2) K D^(-1/2) (K itself when K is
+  symmetric), and R_e(eta) = rho(S) with S = diag(sqrt(eta)) M
+  diag(sqrt(eta)), since rho(AB) = rho(BA); S is symmetric and nonnegative,
+  so its radius is its top eigenvalue.  ``effective_re``, its batch and the
+  solver take it with ``eigvalsh``, backward stable and several times
+  cheaper than general QR; ``dominant_pair`` maps one ``eigh`` of S to the
+  Perron pair through D^(1/2).  A one-group model keeps its exact entry
+  K00 * eta0, and a kernel balanced only to the 1e-8 of ``symmetrize`` the
+  general routes.
 * ``spectral_radius`` condenses the support digraph into its strongly
   connected blocks (the radius of a nonnegative matrix is the maximum over
   the diagonal blocks of its Frobenius form) and takes each block's radius
@@ -51,7 +54,7 @@ from .errors import (
     ValidationError,
     ZeroRadius,
 )
-from .model import MetapopModel, Strategy
+from .model import BALANCED_RTOL, MetapopModel, Strategy
 
 POWER_ITERATION_CAP = 10_000
 _START_SEED = 20211215  # fixed start vector: results must not vary run-to-run
@@ -233,26 +236,35 @@ def inertia(a: np.ndarray) -> tuple[int, int]:
     return spec.p_count, spec.n_count
 
 
-def _symmetrized(model: MetapopModel, x: np.ndarray) -> np.ndarray:
-    """diag(sqrt(x)) K diag(sqrt(x)) for a symmetric model, exactly symmetric
-    (the outer product is formed first), with the spectrum of K . diag(x):
-    rho(AB) = rho(BA).  On a (B, N) stack, the (B, N, N) stack."""
+def _route(model: MetapopModel) -> np.ndarray | None:
+    """M = D^(1/2) K D^(-1/2) when the symmetric route applies: several
+    groups, and d_i K_ij = d_j K_ji to rounding (``BALANCED_RTOL``)."""
+    balance = model._balance
+    return balance.symmetrized if model.n > 1 and balance.residual <= BALANCED_RTOL else None
+
+
+def _symmetrized(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """diag(sqrt(x)) M diag(sqrt(x)), exactly symmetric (the outer product is
+    formed first), with the spectrum of K . diag(x): M diag(x) is similar to
+    K diag(x), and rho(AB) = rho(BA).  On a (B, N) stack, the (B, N, N)
+    stack."""
     r = np.sqrt(x)
-    return (r[..., :, None] * r[..., None, :]) * model.matrix
+    return (r[..., :, None] * r[..., None, :]) * m
 
 
 def _matrix_re(model: MetapopModel, x: np.ndarray) -> float:
     """R_e at the strategy values ``x``: the one route choice of
     ``effective_re``, for callers such as the solver's inner loop.
 
-    A symmetric model goes to ``eigvalsh`` on its symmetrized matrix up to
-    ``_DENSE_CUTOFF`` groups, above it to ``spectral_radius`` of that matrix,
-    whose symmetric blocks take ``eigvalsh`` when the power route does not
-    close within n steps; any other model to dense QR on K . diag(x), above
-    the cutoff to ``spectral_radius``.
+    A model on the symmetric route goes to ``eigvalsh`` on its symmetrized
+    matrix up to ``_DENSE_CUTOFF`` groups, above it to ``spectral_radius``
+    of that matrix, whose symmetric blocks take ``eigvalsh`` when the power
+    route does not close within n steps; any other model to dense QR on
+    K . diag(x), above the cutoff to ``spectral_radius``.
     """
-    if model._symmetric:
-        effective = _symmetrized(model, x)
+    m = _route(model)
+    if m is not None:
+        effective = _symmetrized(m, x)
         if model.n <= _DENSE_CUTOFF:
             return _symmetric_radius(effective)
     else:
@@ -265,8 +277,8 @@ def _matrix_re(model: MetapopModel, x: np.ndarray) -> float:
 def effective_re(model: MetapopModel, eta: Strategy) -> float:
     """Effective reproduction number: spectral radius of K . diag(eta).
 
-    An exactly symmetric K takes the symmetric eigensolver on
-    diag(sqrt(eta)) K diag(sqrt(eta)), which has the same spectrum.  Other
+    A K balanced to rounding takes the symmetric eigensolver on
+    diag(sqrt(eta)) M diag(sqrt(eta)), which has the same spectrum.  Other
     desk-scale models are evaluated by the dense QR spectrum, larger ones by
     the certified iterative route; the routes agree to 1e-12 relative
     (standing cross-checks in the tests).
@@ -277,10 +289,10 @@ def effective_re(model: MetapopModel, eta: Strategy) -> float:
 def effective_re_batch(model: MetapopModel, etas: np.ndarray) -> np.ndarray:
     """R_e for each row of a (B, N) array of strategies.
 
-    A symmetric model takes one stacked ``eigvalsh`` of the symmetrized
-    matrices, whose radius is zero only for the zero matrix.  Any other model
-    takes one batched QR spectrum call, which gives exactly zero on a row
-    whose effective support is acyclic.  A LAPACK failure on any row raises
+    A model on the symmetric route takes one stacked ``eigvalsh`` of the
+    symmetrized matrices, whose radius is zero only for the zero matrix.  Any
+    other model takes one batched QR spectrum call, which gives exactly zero
+    on a row whose effective support is acyclic.  A LAPACK failure on any row raises
     ``NonConvergence``.  Rows are checked as ``Strategy`` checks its values.
     The certified iterative route remains ``spectral_radius``.
     """
@@ -290,8 +302,9 @@ def effective_re_batch(model: MetapopModel, etas: np.ndarray) -> np.ndarray:
     if not ((etas >= 0.0) & (etas <= 1.0)).all():
         raise ValidationError("strategy entries must be finite and lie in [0, 1]")
     try:
-        if model._symmetric:
-            top = np.linalg.eigvalsh(_symmetrized(model, etas))[:, -1]
+        m = _route(model)
+        if m is not None:
+            top = np.linalg.eigvalsh(_symmetrized(m, etas))[:, -1]
             return np.where(top > 0.0, top, 0.0)
         mats = model.matrix[None, :, :] * etas[:, None, :]
         return np.abs(np.linalg.eigvals(mats)).max(axis=-1)
@@ -331,13 +344,14 @@ def _residual(matrix: np.ndarray, vector: np.ndarray, value: float) -> float:
     return np.abs(matrix @ vector - value * vector).max()
 
 
-def _symmetric_pair(model: MetapopModel, x: np.ndarray) -> EigenPair:
-    """Perron pair of K . diag(x) for a symmetric model from one ``eigh`` of
-    S = diag(r) K diag(r), r = sqrt(x).  For S u = lam u, phi = r * u is a
-    left and K phi a right eigenvector of K . diag(x)."""
+def _symmetric_pair(model: MetapopModel, m: np.ndarray, x: np.ndarray) -> EigenPair:
+    """Perron pair of K . diag(x) from one ``eigh`` of S = diag(r) M diag(r),
+    r = sqrt(x), M = D^(1/2) K D^(-1/2).  For S u = lam u, phi = r * u is a
+    left and M phi a right eigenvector of M . diag(x), so sqrt(d) * phi is a
+    left and (M phi) / sqrt(d) a right eigenvector of K . diag(x)."""
     r = np.sqrt(x)
     try:
-        values, vectors = np.linalg.eigh(_symmetrized(model, x))
+        values, vectors = np.linalg.eigh(_symmetrized(m, x))
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"symmetric eigendecomposition failed: {exc}") from exc
     lam = float(values[-1])
@@ -349,9 +363,11 @@ def _symmetric_pair(model: MetapopModel, x: np.ndarray) -> EigenPair:
         )
     u = vectors[:, -1]
     phi = np.maximum(r * u if u.sum() >= 0.0 else -r * u, 0.0)
-    v = model.matrix @ phi
+    root_d = np.sqrt(model._balance.d)
+    v = (m @ phi) / root_d
     right = v / v.sum()
-    return EigenPair(value=lam, right=right, left=phi / float(phi @ right))
+    left = root_d * phi
+    return EigenPair(value=lam, right=right, left=left / float(left @ right))
 
 
 def dominant_pair(model: MetapopModel, eta: Strategy) -> EigenPair:
@@ -361,16 +377,18 @@ def dominant_pair(model: MetapopModel, eta: Strategy) -> EigenPair:
     eigenvalue is not simple within the 1e-8 relative gap threshold; callers
     must then fall back to gradient-free methods.
 
-    A symmetric model takes one ``eigh`` of diag(sqrt(eta)) K diag(sqrt(eta))
-    and maps its top eigenvector to the pair.  For any other model, the left
-    eigenvector comes from the corresponding row of the inverse eigenvector
-    matrix when that row is finite and well conditioned (one factorization
-    for the whole pair), with an independent transpose-side solve as
-    fallback; a vector failing its residual check raises ``NonConvergence``.
+    A model on the symmetric route takes one ``eigh`` of
+    diag(sqrt(eta)) M diag(sqrt(eta)) and maps its top eigenvector to the
+    pair.  For any other model, the left eigenvector comes from the
+    corresponding row of the inverse eigenvector matrix when that row is
+    finite and well conditioned (one factorization for the whole pair), with
+    an independent transpose-side solve as fallback; a vector failing its
+    residual check raises ``NonConvergence``.
     """
     x = model._values(eta)
-    if model._symmetric:
-        return _symmetric_pair(model, x)
+    m = _route(model)
+    if m is not None:
+        return _symmetric_pair(model, m, x)
     effective = model.matrix * x
     try:
         values, vectors = np.linalg.eig(effective)

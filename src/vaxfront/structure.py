@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._graph import condensation_topological, support_components
+from ._graph import support_components
 from .errors import NotDisconnecting, ValidationError
 from .model import CostFunction, MetapopModel, Strategy, cost
 from .spectral import _block_radius, effective_re
@@ -26,12 +26,12 @@ def support_digraph(model: MetapopModel, threshold: float = 0.0):
 
 
 def _atoms(model: MetapopModel, threshold: float):
-    """One SCC pass and no radius: successor lists, components, atoms
-    (components of several groups or with a loop) and sorted remainder."""
+    """One SCC pass and no radius: successor lists, components in finishing
+    order, atoms (several groups or a loop) by smallest member, remainder."""
     successors, sccs = support_components(model.matrix, threshold)
     k = model.matrix
     is_atom = [len(comp) > 1 or k[comp[0], comp[0]] > threshold for comp in sccs]
-    atoms = [tuple(comp) for comp, a in zip(sccs, is_atom) if a]
+    atoms = sorted(tuple(comp) for comp, a in zip(sccs, is_atom) if a)
     remainder = sorted(comp[0] for comp, a in zip(sccs, is_atom) if not a)
     return successors, sccs, atoms, remainder
 
@@ -40,9 +40,9 @@ def _atoms(model: MetapopModel, threshold: float):
 class FrobeniusDecomposition:
     """Atoms, quasi-nilpotent remainder and the precedence order.
 
-    ``order`` lists atom positions such that an atom earlier in the order is
-    never infected by a later one (K restricted to later-rows/earlier-columns
-    is zero).
+    ``order`` lists atom positions such that an atom earlier in the order
+    never infects a later one (K restricted to later-rows/earlier-columns is
+    zero).
     """
 
     atoms: tuple[tuple[int, ...], ...]
@@ -59,15 +59,10 @@ def frobenius_decompose(
     A singleton strongly connected component is an atom only when its
     diagonal entry is positive; otherwise it is quasi-nilpotent remainder.
     """
-    successors, sccs, atoms, remainder = _atoms(model, threshold)
-    topo = condensation_topological(sccs, successors)
+    _, sccs, atoms, remainder = _atoms(model, threshold)
     atom_pos = {comp: pos for pos, comp in enumerate(atoms)}
-    # Infected-first precedence: reverse of the source-first topological order.
-    order = [
-        atom_pos[tuple(sccs[ci])]
-        for ci in reversed(topo)
-        if tuple(sccs[ci]) in atom_pos
-    ]
+    # Tarjan's finishing order is the infected-first precedence.
+    order = [atom_pos[comp] for comp in map(tuple, sccs) if comp in atom_pos]
     k = model.matrix
     radii = tuple(_block_radius(k[np.ix_(comp, comp)]) for comp in atoms)
     return FrobeniusDecomposition(
@@ -195,10 +190,9 @@ def cordon_improvement(
         raise NotDisconnecting("strategy does not disconnect the support")
     support = np.where(eta.values > 0)[0]
     sub = model.matrix[np.ix_(support, support)]
-    successors, sccs = support_components(sub, threshold)
-    topo = condensation_topological(sccs, successors)
-    # First component in source-first order: nothing later can infect it.
-    side_b = set(support[v] for v in sccs[topo[0]])
+    _, sccs = support_components(sub, threshold)
+    # Tarjan finishes a source last: no other component infects it.
+    side_b = set(support[v] for v in sccs[-1])
     side_a = set(support.tolist()) - side_b
 
     def restricted(kept: set) -> Strategy:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,74 @@ class TestSymmetrize:
         result = symmetrize(model)
         assert result.symmetrizable
         assert result.d[2] == 1.0
+
+
+def _reference_d(k):
+    """The balancing search as a queue loop: the lowest unassigned group is
+    the root, neighbours are visited in ascending order, and d is scaled to
+    minimum 1 per support component."""
+    n = k.shape[0]
+    off_diag = (k > 0) & ~np.eye(n, dtype=bool)
+    d = np.ones(n)
+    assigned = np.zeros(n, dtype=bool)
+    for root in range(n):
+        if assigned[root]:
+            continue
+        assigned[root] = True
+        component, queue = [root], [root]
+        while queue:
+            i = queue.pop(0)
+            for j in np.nonzero(off_diag[i])[0]:
+                if not assigned[j]:
+                    d[j] = d[i] * k[i, j] / k[j, i]
+                    assigned[j] = True
+                    component.append(int(j))
+                    queue.append(int(j))
+        d[component] /= d[component].min()
+    return d
+
+
+def _symmetric_pattern_draw(rng, n):
+    """A sparse symmetric support of several components, balanced by random
+    column scales: K = S diag(l) with S symmetric."""
+    s = rng.random((n, n)) * (rng.random((n, n)) < 0.15)
+    s = np.triu(s) + np.triu(s, 1).T
+    return MetapopModel(np.full(n, 1.0 / n), s * (0.5 + rng.random(n)))
+
+
+class TestBalanceSearch:
+    """The model's level-at-a-time search gives the queue loop's d, byte for
+    byte."""
+
+    def test_d_matches_the_queue_loop(self):
+        rng = np.random.default_rng(43)
+        models = [
+            fixtures.cycle_model(),
+            fixtures.positive_definite_model(),
+            fixtures.counterexample_single_positive(),
+            fixtures.two_block_model(),
+        ]
+        for n in (4, 8, 12):
+            models += [random_convex_model(rng, n) for _ in range(5)]
+            models += [random_concave_model(rng, n) for _ in range(5)]
+        models += [MetapopModel(np.array([0.4, 0.6]), 0.1 + rng.random((2, 2)))
+                   for _ in range(10)]
+        models += [random_rank_one(rng, 30)[0]]
+        models += [_symmetric_pattern_draw(rng, 30) for _ in range(10)]
+        checked = 0
+        for model in models:
+            result = symmetrize(model)
+            if result.symmetrizable:
+                assert result.d.tobytes() == _reference_d(model.matrix).tobytes()
+                checked += 1
+        assert checked == len(models) - 1  # two_block_model has a one-way edge
+
+    def test_extreme_entries_are_not_balanced_by_overflow(self):
+        k = np.array([[0.0, 1e-300, 0.0], [1e300, 0.0, 1e-300], [0.0, 1e300, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = symmetrize(MetapopModel(np.full(3, 1.0 / 3.0), k))
+        assert not result.symmetrizable
 
 
 class TestClassifyConvexity:

@@ -15,6 +15,7 @@ from vaxfront import (
     Strategy,
     ValidationError,
     ZeroRadius,
+    classify_convexity,
     dominant_pair,
     effective_re,
     effective_re_batch,
@@ -26,7 +27,7 @@ from vaxfront import (
     spectral_radius,
 )
 from vaxfront import fixtures, spectral
-from vaxfront.acceptance import random_model, random_rank_one
+from vaxfront.acceptance import random_convex_model, random_model, random_rank_one
 from vaxfront.spectral import _DENSE_CUTOFF, _power_block
 
 K_SADDLE = np.array([[16.0, 12.0, 11.0], [1.0, 12.0, 12.0], [8.0, 1.0, 1.0]])
@@ -546,6 +547,20 @@ def _general_radius(k, eta):
     return float(np.abs(np.linalg.eigvals(k * eta)).max())
 
 
+def _general_gradient(k, eta):
+    """The Perron formula from ``np.linalg.eig`` of K . diag(eta) and its
+    transpose."""
+    effective = k * eta
+    values, vectors = np.linalg.eig(effective)
+    top = int(np.argmax(values.real))
+    v = vectors[:, top].real
+    v = v / v.sum()
+    left_values, left_vectors = np.linalg.eig(effective.T)
+    phi = left_vectors[:, int(np.argmin(np.abs(left_values - values[top])))].real
+    phi = phi / (phi @ v)
+    return (k.T @ phi) * v
+
+
 def _ring2(n):
     k = fixtures.cycle_model(n).matrix.copy()
     i = np.arange(n)
@@ -606,15 +621,7 @@ class TestSymmetricRoute:
                 grad = re_gradient(model, Strategy(eta))
             except (NonSimple, ZeroRadius):
                 continue
-            effective = k * eta
-            values, vectors = np.linalg.eig(effective)
-            top = int(np.argmax(values.real))
-            v = vectors[:, top].real
-            v = v / v.sum()
-            left_values, left_vectors = np.linalg.eig(effective.T)
-            phi = left_vectors[:, int(np.argmin(np.abs(left_values - values[top])))].real
-            phi = phi / (phi @ v)
-            want = (k.T @ phi) * v
+            want = _general_gradient(k, eta)
             np.testing.assert_allclose(grad, want, rtol=0, atol=1e-10 * np.abs(want).max())
             checked += 1
         assert checked >= 60
@@ -639,6 +646,7 @@ class TestSymmetricRoute:
     def test_route_takes_no_general_solver(self, monkeypatch):
         one = MetapopModel(np.array([1.0]), np.array([[3.0]]))
         assert effective_re(one, Strategy(np.array([0.7]))) == 3.0 * 0.7
+        assert effective_re_batch(one, np.array([[0.7]]))[0] == 3.0 * 0.7
 
         def refuse(*args, **kwargs):
             raise AssertionError("general eigensolver called")
@@ -660,3 +668,68 @@ class TestSymmetricRoute:
         (radius,) = frobenius_decompose(fixtures.cycle_model(300)).atom_radii
         assert radius == pytest.approx(2.0, abs=1e-12)
         assert caps == [(400, 400), (300, 300)]
+
+
+def _balanced_draws():
+    """Symmetrizable kernels that are not symmetric: random_convex_model of 4,
+    8 and 12 groups, positive 2-group kernels and a rank-one kernel."""
+    rng = np.random.default_rng(91)
+    models = [random_convex_model(rng, n) for n in (4, 8, 12) for _ in range(4)]
+    models += [MetapopModel(np.array([0.3, 0.7]), 0.1 + rng.random((2, 2)))
+               for _ in range(8)]
+    models.append(random_rank_one(rng, 30)[0])
+    return rng, models
+
+
+class TestBalancedRoute:
+    """A K balanced to rounding, d_i K_ij = d_j K_ji, takes the symmetric
+    eigensolver on diag(sqrt(eta)) M diag(sqrt(eta)), M = D^(1/2) K D^(-1/2),
+    and must agree with general QR on K . diag(eta)."""
+
+    def test_takes_no_general_solver(self, monkeypatch):
+        rng, models = _balanced_draws()
+        etas = [rng.random((3, m.n)) for m in models]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("general eigensolver called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        for model, rows in zip(models, etas):
+            effective_re_batch(model, rows)
+            for eta in rows:
+                effective_re(model, Strategy(eta))
+                re_gradient(model, Strategy(eta))
+
+    def test_matches_the_general_route(self):
+        rng, models = _balanced_draws()
+        for model in models:
+            k = model.matrix
+            etas = rng.random((5, model.n))
+            batch = effective_re_batch(model, etas)
+            for eta, batched in zip(etas, batch):
+                want = _general_radius(k, eta)
+                assert effective_re(model, Strategy(eta)) == pytest.approx(want, rel=1e-12)
+                assert batched == pytest.approx(want, rel=1e-12)
+                grad = re_gradient(model, Strategy(eta))
+                np.testing.assert_allclose(grad, _general_gradient(k, eta), rtol=1e-12)
+
+    def test_near_miss_keeps_the_general_route(self, monkeypatch):
+        k = np.array([[1.0, 2.0, 0.5], [4.0, 3.0, 1.0], [2.0, 2.0, 2.0]])
+        k[0, 1] *= 1.0 + 1e-10  # balanced by d = (1, 0.5, 0.25) only to 1e-10
+        model = MetapopModel(np.full(3, 1.0 / 3.0), k)
+        balance = classify_convexity(model).symmetrization
+        assert balance.symmetrizable and 1e-11 < balance.residual < 1e-9
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("symmetric eigensolver called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        eta = np.array([0.9, 0.4, 0.7])
+        want = _general_radius(k, eta)
+        assert effective_re(model, Strategy(eta)) == want
+        assert effective_re_batch(model, eta[None, :])[0] == want
+        np.testing.assert_allclose(
+            re_gradient(model, Strategy(eta)), _general_gradient(k, eta), rtol=1e-12
+        )

@@ -3,9 +3,12 @@ revision against the working tree.
 
     python3 tools/solver_panel.py REV [--resolution 8] [--out PANEL.json]
 
-The panel is the cycles of 8, 16, 20, 24 and 30 groups, and six seeded
-irreducible draws of 4 to 10 groups (``acceptance.random_model`` at density
-0.5, redrawn until the support is strongly connected).  Each model is swept
+The panel is the cycles of 8, 16, 20, 24 and 30 groups, which are exactly
+symmetric; six seeded irreducible draws of 4 to 10 groups
+(``acceptance.random_model`` at density 0.5, redrawn until the support is
+strongly connected), which cannot be symmetrized; and seeded
+``acceptance.random_convex_model`` draws of 4, 8 and 12 groups, which are
+symmetrizable but not symmetric.  Each model is swept
 on both sides, ``pareto_frontier`` and ``anti_pareto_frontier``, with
 uniform costs and the default effort.  REV's committed files are extracted
 as ``bench_pair.py`` does; each side runs in a fresh process that imports
@@ -45,6 +48,7 @@ from bench_pair import ROOT, extract, git  # noqa: E402
 
 CYCLES = (8, 16, 20, 24, 30)
 DRAW_SIZES = (4, 5, 6, 8, 9, 10)
+CONVEX_SIZES = (4, 8, 12)
 DRAW_DENSITY = 0.5
 PANEL_SEED = 2110_12693
 ROUNDING = 1e-12
@@ -53,7 +57,8 @@ COUNTED = {"re": "_matrix_re", "grad": "re_gradient", "fd": "_fd_gradient"}
 
 
 def panel(vf) -> dict:
-    """{label: model}: the cycles, then the irreducible draws."""
+    """{label: model}: the cycles, the irreducible draws, then the convex
+    draws."""
     acceptance = importlib.import_module("vaxfront.acceptance")
     fixtures = importlib.import_module("vaxfront.fixtures")
     models = {f"cycle{n}": fixtures.cycle_model(n) for n in CYCLES}
@@ -65,6 +70,9 @@ def panel(vf) -> dict:
             if len(atoms) == 1 and len(atoms[0]) == n:
                 break
         models[f"draw{i}-n{n}"] = model
+    for i, n in enumerate(CONVEX_SIZES):
+        rng = np.random.default_rng([PANEL_SEED, len(DRAW_SIZES) + i])
+        models[f"convex{i}-n{n}"] = acceptance.random_convex_model(rng, n)
     return models
 
 
