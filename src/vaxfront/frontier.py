@@ -13,13 +13,22 @@ coordinate, enumerated exactly up to 20 groups; otherwise the better of the
 enumeration and multi-start projected ascent is reported as a certified lower
 bound.
 
-The first Armijo trial of each iteration has two rules.  Where K has at most
-one atom, R_e is one Perron root, smooth away from clusters, and the trial
-is the Barzilai-Borwein two-point step (Barzilai and Borwein 1988; Birgin,
-Martinez and Raydan 2000).  Where it has several, R_e is the largest atom
-radius, with a kink wherever two radii tie; the two-point step overshoots
-those kinks and ends at worse points, so the trial stays 4 times the last
-accepted step.
+Each iteration's step has two rules.  Where K has at most one atom, R_e is
+one Perron root, smooth away from clusters: the direction is its gradient
+and the first Armijo trial the Barzilai-Borwein two-point step (Barzilai and
+Borwein 1988; Birgin, Martinez and Raydan 2000).  Where it has several, R_e
+is the largest atom radius, with a kink wherever two radii tie, and the
+Pareto optimum sits on such kinks.  There the minimizing direction comes
+from one eigendecomposition of K diag(eta): the gradient of each atom
+radius within 1e-3 of R_e, each projected onto the constraints active at
+eta, and the minimum-norm point of their convex hull (Wolfe 1975; Lewis
+and Overton 1996), which lowers the tied radii at one rate.  The first
+trial stays 4 times the last accepted step, as the two-point step
+overshoots the kinks.  The anti side keeps the whole-matrix gradient.  A
+gradient that cannot be taken, as at eigenvalues tied within 1e-8 that the
+eigensolver does not keep apart, falls back to central finite differences.
+Every Armijo ladder stops before a trial whose required decrease is below
+the rounding of R_e.
 
 Each side's public single-budget solve is its checks plus one driver,
 ``_minimize`` or ``_maximize``; each sweep computes its invariants (the
@@ -34,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +59,13 @@ from .errors import (
 )
 from .independent import eradication_cost
 from .model import CostFunction, MetapopModel, Strategy, _check_int, _is_int, c_max, cost
-from .spectral import _matrix_re, effective_re, effective_re_batch, re_gradient
+from .spectral import (
+    _atom_gradients,
+    _matrix_re,
+    effective_re,
+    effective_re_batch,
+    re_gradient,
+)
 from .structure import _atom_submodel, _atoms, frobenius_decompose
 
 ARMIJO_SHRINK = 0.5
@@ -62,6 +78,8 @@ _STARTS_SEED = 7151020
 RAY_GRID = 16
 RAY_TOL = 1e-6
 _FD_STEP = 1e-6
+_HULL_STEPS = 8  # Frank-Wolfe steps of ``_min_norm`` on three or more rows
+_ACTIVE_TOL = 1e-5  # a bound or budget this close to x is active in ``_hull_direction``
 _BATCH = 65536
 
 
@@ -133,12 +151,93 @@ def _fd_gradient(model: MetapopModel, eta: np.ndarray) -> np.ndarray:
     )
 
 
+@dataclass(frozen=True, eq=False)
+class _Halfspace:
+    """The feasible set [0,1]^N cut by {w . eta >= b}; calling it projects."""
+
+    w: np.ndarray
+    b: float
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return _project_budget(x, self.w, self.b, "ge")
+
+
+def _hull_direction(grads: np.ndarray, x: np.ndarray,
+                    feasible: _Halfspace) -> np.ndarray:
+    """The minimum-norm point of the convex hull of the rows of ``grads``,
+    each first projected onto the constraints active at ``x``; a lone
+    gradient as it is.
+
+    The active constraints are the budget hyperplane and every coordinate
+    on a bound that the hull point pushes outward, both within
+    ``_ACTIVE_TOL`` of x: a bound closer than that would cut the first trial
+    steps short and turn them, and the ladder would run down to the rounding
+    floor.  Coordinates are fixed one round at a time until none is pushed
+    out.  All rows share the active set, so the projection is linear and
+    each row falls along the hull point at the rate the hull computes.
+    """
+    if len(grads) == 1:
+        return grads[0]
+    w = feasible.w
+    tight = float(w @ x) <= feasible.b + _ACTIVE_TOL * max(1.0, feasible.b)
+    low, high = x <= _ACTIVE_TOL, x >= 1.0 - _ACTIVE_TOL
+    free = np.ones(x.size, dtype=bool)
+    while free.any():
+        rows = grads * free
+        wf = w * free
+        norm = float(wf @ wf)
+        if tight and norm > 0.0:
+            rows -= np.outer(rows @ wf / norm, wf)
+        d = _min_norm(rows)
+        out = free & ((low & (d > 0.0)) | (high & (d < 0.0)))
+        if not out.any():
+            return d
+        free &= ~out
+    return np.zeros(x.size)
+
+
+def _min_norm(rows: np.ndarray) -> np.ndarray:
+    """The minimum-norm point of the convex hull of ``rows``: the closed-form
+    weight for two, ``_HULL_STEPS`` Frank-Wolfe steps with exact line search
+    for more (Wolfe 1975), on their Gram matrix in Python floats (numpy's call
+    overhead outweighs the work)."""
+    gram = (rows @ rows.T).tolist()
+    k = len(gram)
+    if k == 2:
+        (a, c), (_, b) = gram
+        curvature = a - 2.0 * c + b
+        lam = min(1.0, max(0.0, (b - c) / curvature)) if curvature > 0.0 else 1.0
+        return lam * rows[0] + (1.0 - lam) * rows[1]
+    weights = [0.0] * k
+    weights[min(range(k), key=lambda i: gram[i][i])] = 1.0
+    for _ in range(_HULL_STEPS):
+        slope = [sum(map(operator.mul, row, weights)) for row in gram]
+        norm = sum(map(operator.mul, slope, weights))
+        i = min(range(k), key=slope.__getitem__)
+        gap = norm - slope[i]  # the duality gap of the step towards row i
+        if gap <= 0.0:
+            break
+        t = min(1.0, gap / (gram[i][i] - 2.0 * slope[i] + norm))
+        weights = [(1.0 - t) * u for u in weights]
+        weights[i] += t
+    return np.array(weights) @ rows
+
+
 def _pgd(model, project, x0, maximize, max_iter=PGD_ITERATION_CAP,
-         window_tol=1e-9, single_atom=False):
+         window_tol=1e-9, single_atom=True):
     """Projected gradient with Armijo backtracking; returns (value, point).
 
-    Gradients come from ``re_gradient``, or from central finite differences
-    where it fails (for good after two failures); a zero radius ends the run.
+    The direction has two rules.  The maximizing side, and a K with at most
+    one atom (``single_atom``), take the whole-matrix ``re_gradient``.  The
+    minimizing side on several atoms, where R_e is the largest atom radius
+    with a kink wherever two radii tie, takes ``_hull_direction`` of the
+    ``_atom_gradients`` (``project`` is then a ``_Halfspace``): the
+    minimum-norm point of the hull of the gradients of the radii within
+    1e-3 of R_e, which lowers the tied radii together where one gradient
+    would zigzag across the kink.  Where either raises ``NonSimple`` or
+    ``NonConvergence``, as at eigenvalues tied within 1e-8 that the
+    eigensolver does not keep apart, the gradient comes from central finite
+    differences, for good after two failures; a zero radius ends the run.
 
     The first Armijo trial is 4 times the last accepted step.  Where K has at
     most one atom (``single_atom``), R_e is one Perron root, smooth away from
@@ -149,7 +248,10 @@ def _pgd(model, project, x0, maximize, max_iter=PGD_ITERATION_CAP,
     is capped at 100 / max|g|.  On several atoms R_e is the largest atom
     radius, with kinks where two radii tie; there the two-point step
     overshoots the kink and the runs end at worse points, so those keep the
-    4x rule.
+    4x rule.  A failed ladder is tried once more from the nominal step
+    0.5 / max|g|.  Each ladder stops before a trial whose required decrease
+    ``ARMIJO_DECREASE * |g . delta|`` is at most 1e-15 max(1, |R_e|), the
+    rounding of R_e, which alone would accept or refuse it.
 
     Besides the per-step Armijo test, progress is watched over a sliding
     window: zigzagging between nearly tied spectral branches makes steady
@@ -168,7 +270,10 @@ def _pgd(model, project, x0, maximize, max_iter=PGD_ITERATION_CAP,
             grad = _fd_gradient(model, x)
         else:
             try:
-                grad = re_gradient(model, Strategy(x))
+                if single_atom or maximize:
+                    grad = re_gradient(model, Strategy(x))
+                else:
+                    grad = _hull_direction(_atom_gradients(model, x), x, project)
             except ZeroRadius:
                 break
             except (NonSimple, NonConvergence):
@@ -191,15 +296,18 @@ def _pgd(model, project, x0, maximize, max_iter=PGD_ITERATION_CAP,
                     first = float(s @ s) / sy
             trial_steps.insert(0, min(first, 100.0 / gmax))
         x_prev, g_prev = x, g
+        # A decrease the test would require below this is lost in R_e's rounding.
+        floor = 1e-15 * max(1.0, abs(fx))
         improved = False
         for step in trial_steps:
             for _ in range(40):
                 candidate = project(x - step * g)
                 delta = candidate - x
-                if np.abs(delta).max() <= 1e-14:
+                slope = float(g @ delta)
+                if ARMIJO_DECREASE * abs(slope) <= floor:
                     break
                 fc = _matrix_re(model, candidate)
-                if sign * (fc - fx) <= ARMIJO_DECREASE * float(g @ delta):
+                if sign * (fc - fx) <= ARMIJO_DECREASE * slope:
                     x, fx = candidate, fc
                     improved = True
                     last_step = step
@@ -234,7 +342,7 @@ def _better(best, candidate, maximize):
 
 
 def _multistart(model, project, start_points, maximize, best, max_iter, window_tol,
-                single_atom=False):
+                single_atom=True):
     """Run ``_pgd`` from each start and keep the ``_better`` of it and ``best``.
 
     ``_pgd`` is deterministic, so a start with the same bytes as an earlier
@@ -344,9 +452,7 @@ def _minimize(model, w, b, c, convex, single_atom, erad, extra_starts, starts,
               max_iter, window_tol) -> OptimalPoint:
     """``optimal_loss`` after its checks, on {w . eta >= b} with b > 0."""
 
-    def project(x):
-        return _project_budget(x, w, b, "ge")
-
+    project = _Halfspace(w, b)
     start_points = [project(np.asarray(s, dtype=float)) for s in extra_starts]
     # The eradicating strategy is the one known point with loss exactly
     # zero; when it fits the budget the solve is settled, and otherwise its

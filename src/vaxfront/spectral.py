@@ -9,10 +9,11 @@ Three routes are kept deliberately:
   diag(sqrt(eta)), since rho(AB) = rho(BA); S is symmetric and nonnegative,
   so its radius is its top eigenvalue.  ``effective_re``, its batch and the
   solver take it with ``eigvalsh``, backward stable and several times
-  cheaper than general QR; ``dominant_pair`` maps one ``eigh`` of S to the
-  Perron pair through D^(1/2).  A one-group model keeps its exact entry
-  K00 * eta0, and a kernel balanced only to the 1e-8 of ``symmetrize`` the
-  general routes.
+  cheaper than general QR (above ``_DENSE_CUTOFF`` groups ``spectral_radius``
+  of S, told that S is symmetric by construction); ``dominant_pair`` maps
+  one ``eigh`` of S to the Perron pair through D^(1/2).  A one-group model
+  keeps its exact entry K00 * eta0, and a kernel balanced only to the 1e-8
+  of ``symmetrize`` the general routes.
 * ``spectral_radius`` condenses the support digraph into its strongly
   connected blocks (the radius of a nonnegative matrix is the maximum over
   the diagonal blocks of its Frobenius form) and takes each block's radius
@@ -65,6 +66,8 @@ _STALL_CHECK = 64  # power iterations between two measures of the bracket
 CLUSTER_TOL = 1e-8  # times max(1, rho): QR backward-error scale
 RESIDUAL_TOL = 1e-10  # times max(lambda, 1): eigenpair residual bound
 SIMPLE_GAP_TOL = 1e-8  # times rho: gap defining a numerically simple root
+TIE_WINDOW = 1e-3  # times rho: atom radii that count as tied with R_e
+_LEAK_TOL = 1e-6  # times the largest entry: rounding of a gradient off its atom
 
 
 def _validate_square(a: np.ndarray, nonnegative: bool) -> np.ndarray:
@@ -132,7 +135,7 @@ def _symmetric_radius(s: np.ndarray) -> float:
     return top if top > 0.0 else 0.0
 
 
-def _block_radius(block: np.ndarray) -> float:
+def _block_radius(block: np.ndarray, symmetric: bool = False) -> float:
     """Spectral radius of an irreducible nonnegative block: its loop entry
     for one group, a dense eigensolver up to ``_DENSE_CUTOFF`` groups, above
     it the certified power route or, when that stalls, the dense eigensolver.
@@ -141,11 +144,13 @@ def _block_radius(block: np.ndarray) -> float:
     n / 2 at 200 to 400 groups), so a symmetric block gives the power route
     n steps rather than the full cap: a fast-mixing block still closes its
     bracket at a tenth of the eigensolver's cost, and a slow one stalls
-    within n steps and pays about two to three times the eigensolver."""
+    within n steps and pays about two to three times the eigensolver.
+    ``symmetric=True`` says the block is known to be exactly symmetric, so
+    that it is not compared with its transpose."""
     n = block.shape[0]
     if n == 1:
         return float(block[0, 0])
-    symmetric = np.array_equal(block, block.T)
+    symmetric = symmetric or np.array_equal(block, block.T)
     if n > _DENSE_CUTOFF:
         value = _power_block(block, n if symmetric else POWER_ITERATION_CAP)
         if value is not None:
@@ -153,13 +158,15 @@ def _block_radius(block: np.ndarray) -> float:
     return _symmetric_radius(block) if symmetric else _dense_radius(block)
 
 
-def spectral_radius(a: np.ndarray) -> float:
+def spectral_radius(a: np.ndarray, symmetric: bool = False) -> float:
     """Spectral radius of a nonnegative matrix, exactly 0 for nilpotent input:
     the largest ``_block_radius`` over the strongly connected blocks of its
-    support."""
+    support.  ``symmetric=True`` says that ``a`` is known to be exactly
+    symmetric, as the symmetric route builds it; its blocks are then not
+    compared with their transposes."""
     m = _validate_square(a, nonnegative=True)
     _, sccs = support_components(m)
-    return max(_block_radius(m[np.ix_(comp, comp)]) for comp in sccs)
+    return max(_block_radius(m[np.ix_(comp, comp)], symmetric) for comp in sccs)
 
 
 @dataclass(frozen=True)
@@ -267,10 +274,10 @@ def _matrix_re(model: MetapopModel, x: np.ndarray) -> float:
         effective = _symmetrized(m, x)
         if model.n <= _DENSE_CUTOFF:
             return _symmetric_radius(effective)
-    else:
-        effective = model.matrix * x
-        if model.n <= _DENSE_CUTOFF:
-            return _dense_radius(effective)
+        return spectral_radius(effective, symmetric=True)
+    effective = model.matrix * x
+    if model.n <= _DENSE_CUTOFF:
+        return _dense_radius(effective)
     return spectral_radius(effective)
 
 
@@ -446,6 +453,93 @@ def dominant_pair(model: MetapopModel, eta: Strategy) -> EigenPair:
     if not _residual(effective.T, left, lam) <= bound:
         raise NonConvergence("left eigenvector residual above tolerance")
     return EigenPair(value=lam, right=right, left=left)
+
+
+def _atom_gradients(model: MetapopModel, x: np.ndarray) -> np.ndarray:
+    """Gradients of the atom radii within ``TIE_WINDOW`` rho of rho, one row
+    each, the largest radius first, at the strategy values ``x``.
+
+    One ``eig`` and one ``inv`` of K . diag(x) serve every root: a simple
+    eigenvalue lambda with right vector v and left vector phi (its row of the
+    inverse eigenvector matrix) has the gradient (K^T phi) * v / <phi, v>.  A
+    real eigenvalue in the window whose gradient is nonnegative, and whose
+    left vector passes the residual test of ``dominant_pair``, is taken for
+    an atom's Perron root; its gradient lives on the atom alone, since v
+    vanishes on the groups the atom does not infect and K^T phi on those
+    that do not infect it.  Rounding below zero is clipped.  Where the
+    inverse is singular or rho's left vector fails, the left vectors come
+    from an ``eig`` of the transpose instead, as in ``dominant_pair``.
+
+    Raises ``ZeroRadius`` when rho = 0; ``NonSimple`` when two eigenvalues in
+    the window lie within the 1e-8 gap threshold of each other, unless both
+    pass and their gradients share no group (two atoms whose radii tie
+    exactly, as at a Pareto optimum, that the eigensolver kept apart); and
+    ``NonConvergence`` when a solve fails or rho itself does not pass.
+    """
+    effective = model.matrix * x
+    try:
+        values, vectors = np.linalg.eig(effective)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"eigendecomposition failed: {exc}") from exc
+    rho = float(np.abs(values).max())
+    if rho <= 0.0:
+        raise ZeroRadius("effective matrix is quasi-nilpotent")
+    near = np.flatnonzero(np.abs(values - rho) <= TIE_WINDOW * rho)
+    if len(near) > 1:
+        near = near[np.argsort(-values[near].real, kind="stable")]
+    lams = values[near]
+    v = vectors[:, near].real.T
+    try:
+        phi = np.linalg.inv(vectors)[near].real
+        grads, kept = _perron_rows(model.matrix, x, lams, v, phi)
+    except np.linalg.LinAlgError:
+        kept = None
+    if kept is None or not kept[0]:
+        # A defective eigenvalue elsewhere, such as the zero cluster of a
+        # strategy with several zeros, can leave the inverse singular or
+        # inaccurate: take the left vectors from the transpose instead.
+        try:
+            values_t, vectors_t = np.linalg.eig(effective.T)
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergence(f"eigendecomposition failed: {exc}") from exc
+        match = np.abs(values_t[:, None] - lams[None, :]).argmin(axis=0)
+        grads, kept = _perron_rows(model.matrix, x, lams, v, vectors_t[:, match].real.T)
+        if not kept[0]:
+            raise NonConvergence("the dominant eigenvalue gives no Perron gradient")
+    grads = np.maximum(grads, 0.0, out=grads)
+    if len(near) > 1:
+        # Each eigenvalue is tied with itself; any other tie must be between
+        # atoms whose pairs the eigensolver kept apart.
+        tied = np.abs(np.subtract.outer(lams, lams)) <= SIMPLE_GAP_TOL * rho
+        if tied.sum() > len(near):
+            top = grads.max(axis=1)
+            disjoint = (grads @ grads.T) <= _LEAK_TOL * np.outer(top, top)
+            if (tied & ~(np.outer(kept, kept) & disjoint)).sum() > len(near):
+                raise NonSimple("eigenvalues tied within the 1e-8 gap threshold")
+        grads = grads[kept]
+    return grads
+
+
+def _perron_rows(k, x, lams, v, phi):
+    """The gradients (K^T phi) * v / <phi, v> of the eigenvalues ``lams`` of
+    K . diag(x), one row each, and which of them pass for Perron roots: a
+    real eigenvalue, a gradient nonnegative up to ``_LEAK_TOL``, and a left
+    vector within the residual bound of ``dominant_pair``.  The checks run
+    in Python floats over the few rows."""
+    kt_phi = phi @ k  # row i is (K^T phi_i)^T, and times x it is phi_i^T K diag(x)
+    grads = kt_phi * v
+    grads /= (phi * v).sum(axis=1)[:, None]
+    residual = np.abs(kt_phi * x - lams.real[:, None] * phi).max(axis=1)
+    kept = np.array([
+        imag == 0.0 and top > 0.0 and low >= -_LEAK_TOL * top
+        and res <= RESIDUAL_TOL * max(lam, 1.0) * size
+        for imag, lam, top, low, res, size in zip(
+            lams.imag.tolist(), lams.real.tolist(), grads.max(axis=1).tolist(),
+            grads.min(axis=1).tolist(), residual.tolist(),
+            np.abs(phi).max(axis=1).tolist(),
+        )
+    ])
+    return grads, kept
 
 
 def re_gradient(model: MetapopModel, eta: Strategy) -> np.ndarray:

@@ -27,8 +27,9 @@ from vaxfront import (
     optimal_ray_check,
     pareto_frontier,
     probe_convexity,
+    re_gradient,
 )
-from vaxfront import fixtures, frontier, independent
+from vaxfront import fixtures, frontier, independent, spectral
 from vaxfront.acceptance import (
     random_block_upper_model,
     random_convex_model,
@@ -609,18 +610,21 @@ def _two_atom_model():
 
 
 # (loss, strategy) per point, as hex floats, of the two-atom model's sweeps
-# at resolution 4 and the low effort of ``frontier-reducible``, recorded
-# before the two-point first trial existed.  Models of several atoms keep
-# the 4x rule, so these stay byte-equal.
+# at resolution 4 and the low effort of ``frontier-reducible``.  The anti
+# side was recorded before the two-point first trial existed; models of
+# several atoms keep the 4x rule, so it stays byte-equal.  The Pareto side
+# was recorded when its direction became the minimum-norm point of the tied
+# atoms' gradients; points 2 and 3 are the exact optima, where both radii
+# are 0.6 and 0.3.
 _TWO_ATOM_PARETO = [
     ("0x1.9318c46ec85f0p+0", ("0x1.0000000000000p+0", "0x1.0000000000000p+0",
                               "0x1.0000000000000p+0", "0x1.0000000000000p+0")),
-    ("0x1.fc88c7e8dfc26p-1", ("0x1.ecdefca40966ap-1", "0x1.2d37a089f7a33p-2",
-                              "0x1.a4c955e26bcaap-2", "0x1.fefef1f63e17ep-1")),
-    ("0x1.3c3a61bfcae86p-1", ("0x1.55543cfab5b6ep-1", "0x1.96cec7c6ae9ecp-5",
-                              "0x1.8465f2ac77e85p-4", "0x1.c2be6ff42afbap-1")),
-    ("0x1.33d19d9595d1dp-2", ("0x1.4cf4e1f7066e8p-2", "0x1.7114cd2f94ec9p-6",
-                              "0x0.0p+0", "0x1.00840351fcd98p-1")),
+    ("0x1.f672cd4060f46p-1", ("0x1.0000000000000p+0", "0x1.a3a3cc029d7dbp-3",
+                              "0x1.97170cff58a08p-2", "0x1.0000000000000p+0")),
+    ("0x1.3333333333333p-1", ("0x1.5555555555555p-1", "0x0.0p+0",
+                              "0x0.0p+0", "0x1.0000000000000p+0")),
+    ("0x1.3333333333333p-2", ("0x1.5555555555555p-2", "0x0.0p+0",
+                              "0x0.0p+0", "0x1.0000000000000p-1")),
     ("0x0.0p+0", ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0")),
 ]
 _TWO_ATOM_ANTI = [
@@ -672,6 +676,128 @@ class TestStepRule:
         monkeypatch.setattr(frontier, "_pgd", recorded)
         sweep(model, UNIFORM, **self.EFFORT)
         assert flags == {single_atom}
+
+
+class TestTiedAtoms:
+    """The minimizing step on several atoms: one gradient per atom whose
+    radius is within ``TIE_WINDOW`` of R_e, and the minimum-norm point of
+    their hull."""
+
+    ATOMS = ((0, 1), (2, 3))
+
+    def _tied_point(self):
+        """A point inside the box, on its budget hyperplane, where the radius
+        of the second atom is 5e-4 relative below the first's."""
+        model = _two_atom_model()
+        k = model.matrix
+        first, second = (
+            np.abs(np.linalg.eigvals(k[np.ix_(a, a)])).max() for a in self.ATOMS
+        )
+        scale = first / second * (1.0 - 5e-4)
+        x = 0.8 * np.array([1.0, 1.0, scale, scale])
+        return model, x, frontier._Halfspace(model.weights, float(model.weights @ x))
+
+    def test_each_gradient_is_its_atoms(self):
+        model, x, _ = self._tied_point()
+        grads = spectral._atom_gradients(model, x)
+        assert grads.shape == (2, 4)
+        for grad, atom in zip(grads, self.ATOMS):
+            sub = MetapopModel(np.full(2, 0.5), model.matrix[np.ix_(atom, atom)])
+            want = np.zeros(4)
+            want[list(atom)] = re_gradient(sub, Strategy(x[list(atom)]))
+            np.testing.assert_allclose(grad, want, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("case", ["optimum", "coupled-twins"])
+    def test_exact_ties_keep_each_atoms_gradient(self, case):
+        # The two-atom model's optimum at c = 0.5 has both radii exactly 0.6;
+        # two equal atoms, the second infecting the first, tie at all ones.
+        if case == "optimum":
+            model, x = _two_atom_model(), np.array([2.0 / 3.0, 0.0, 0.0, 1.0])
+        else:
+            b = np.array([[0.5, 0.7], [0.3, 0.4]])
+            k = np.block([[b, np.full((2, 2), 0.2)], [np.zeros((2, 2)), b]])
+            model, x = MetapopModel(np.full(4, 0.25), k), np.ones(4)
+        grads = spectral._atom_gradients(model, x)
+        assert grads.shape == (2, 4)
+        for grad, atom in zip(grads, self.ATOMS):
+            sub = MetapopModel(np.full(2, 0.5), model.matrix[np.ix_(atom, atom)])
+            want = np.zeros(4)
+            want[list(atom)] = re_gradient(sub, Strategy(x[list(atom)]))
+            np.testing.assert_allclose(grad, want, rtol=0, atol=1e-10)
+
+    def test_direction_has_minimal_norm(self):
+        model, x, feasible = self._tied_point()
+        grads = spectral._atom_gradients(model, x)
+        d = frontier._hull_direction(grads, x, feasible)
+        w = model.weights
+        tangent = grads - np.outer(grads @ w / (w @ w), w)
+        lams = np.linspace(0.0, 1.0, 2001)
+        hull = lams[:, None] * tangent[0] + (1.0 - lams[:, None]) * tangent[1]
+        assert np.linalg.norm(d) <= np.linalg.norm(hull, axis=1).min() + 1e-12
+        assert abs(w @ d) <= 1e-15
+        # Both tied radii fall at the same first-order rate along -d.
+        rates = grads @ d
+        assert rates.min() > 0.0
+        assert rates[0] == pytest.approx(rates[1], rel=1e-12)
+
+    def test_three_rows_take_frank_wolfe_steps(self):
+        rng = np.random.default_rng(5)
+        rows = rng.random((3, 6)) * np.kron(np.eye(3), np.ones(2)) - 0.3 * rng.random(6)
+        d = frontier._min_norm(rows)
+        grid = np.linspace(0.0, 1.0, 201)
+        a, b = np.meshgrid(grid, grid)
+        inside = a + b <= 1.0
+        weights = np.column_stack((a[inside], b[inside], 1.0 - a[inside] - b[inside]))
+        best = np.linalg.norm(weights @ rows, axis=1).min()
+        assert np.linalg.norm(d) <= best * (1.0 + 1e-4)
+
+    @pytest.mark.parametrize("effort", [TestStepRule.EFFORT, dict(resolution=16)],
+                             ids=["low-effort", "resolution-16"])
+    def test_two_atom_sweep_takes_no_finite_differences(self, monkeypatch, effort):
+        calls = []
+        fd_gradient = frontier._fd_gradient
+
+        def counted(model, eta):
+            calls.append(eta)
+            return fd_gradient(model, eta)
+
+        monkeypatch.setattr(frontier, "_fd_gradient", counted)
+        curve = pareto_frontier(_two_atom_model(), UNIFORM, **effort)
+        assert len(curve.points) > 2
+        assert calls == []
+
+    def test_no_trial_below_the_rounding_floor(self, monkeypatch):
+        # From the end of a converged run, every Armijo ladder fails; each trial
+        # it evaluates must still ask for a decrease above R_e's rounding.
+        model = _cycle()
+
+        def project(x):
+            return _project_budget(x, model.weights, 0.7, "ge")
+
+        x0 = np.random.default_rng(3).random(12)
+        _, start = frontier._pgd(model, project, x0, maximize=False, max_iter=500,
+                                 window_tol=0.0)
+        seen = {}
+        gradient, matrix_re = frontier.re_gradient, frontier._matrix_re
+
+        def recorded_gradient(model, eta):
+            seen["x"], seen["g"] = eta.values, gradient(model, eta)
+            seen["fx"] = matrix_re(model, eta.values)
+            return seen["g"]
+
+        slopes = []
+
+        def recorded_re(model, x):
+            if "g" in seen:
+                slopes.append(float(seen["g"] @ (x - seen["x"])))
+                floor = 1e-15 * max(1.0, abs(seen["fx"]))
+                assert frontier.ARMIJO_DECREASE * abs(slopes[-1]) > floor
+            return matrix_re(model, x)
+
+        monkeypatch.setattr(frontier, "re_gradient", recorded_gradient)
+        monkeypatch.setattr(frontier, "_matrix_re", recorded_re)
+        frontier._pgd(model, project, start, maximize=False, max_iter=500, window_tol=0.0)
+        assert slopes  # the ladders were tried
 
 
 class TestAntiParetoFrontier:

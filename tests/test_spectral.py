@@ -669,6 +669,23 @@ class TestSymmetricRoute:
         assert radius == pytest.approx(2.0, abs=1e-12)
         assert caps == [(400, 400), (300, 300)]
 
+    def test_route_above_the_cutoff_skips_the_symmetry_test(self, monkeypatch):
+        # S = diag(sqrt(eta)) M diag(sqrt(eta)) is symmetric by construction,
+        # so its blocks take the symmetric branch without being compared with
+        # their transposes, and the radius keeps its bytes.
+        rng = np.random.default_rng(83)
+        model = _random_symmetric(rng, 2 * _DENSE_CUTOFF)
+        eta = Strategy(rng.random(model.n))
+        r = np.sqrt(eta.values)
+        want = spectral_radius(np.outer(r, r) * model.matrix)
+        effective_re(model, eta)  # the model derives its balance once, here
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("block compared with its transpose")
+
+        monkeypatch.setattr(np, "array_equal", refuse)
+        assert effective_re(model, eta) == want
+
 
 def _balanced_draws():
     """Symmetrizable kernels that are not symmetric: random_convex_model of 4,

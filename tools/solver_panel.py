@@ -6,9 +6,11 @@ revision against the working tree.
 The panel is the cycles of 8, 16, 20, 24 and 30 groups, which are exactly
 symmetric; six seeded irreducible draws of 4 to 10 groups
 (``acceptance.random_model`` at density 0.5, redrawn until the support is
-strongly connected), which cannot be symmetrized; and seeded
+strongly connected), which cannot be symmetrized; seeded
 ``acceptance.random_convex_model`` draws of 4, 8 and 12 groups, which are
-symmetrizable but not symmetric.  Each model is swept
+symmetrizable but not symmetric; and six seeded
+``acceptance.random_block_upper_model`` draws of several atoms, whose
+minimizing solves step along tied atom radii.  Each model is swept
 on both sides, ``pareto_frontier`` and ``anti_pareto_frontier``, with
 uniform costs and the default effort.  REV's committed files are extracted
 as ``bench_pair.py`` does; each side runs in a fresh process that imports
@@ -17,8 +19,9 @@ vaxfront from its own tree, with one BLAS thread.
 Per point it reports the cost, the old and new loss, the signed gain
 towards the curve's objective (lower loss on the Pareto side, higher on the
 anti side) and, old and new, the calls that the solve of that budget made in
-the projected-gradient loop: R_e evaluations, eigenvector gradients and
-finite-difference gradients.  Endpoints have no solve.  Points pair by cost.
+the projected-gradient loop: R_e evaluations, eigenvector gradients (whole
+matrix or per tied atom) and finite-difference gradients.  Endpoints have no
+solve.  Points pair by cost.
 A summary per side follows: moved points by verdict, the largest worsening,
 the total calls and the summed area under the curves.  ``--out`` also
 writes every point as JSON.
@@ -49,16 +52,22 @@ from bench_pair import ROOT, extract, git  # noqa: E402
 CYCLES = (8, 16, 20, 24, 30)
 DRAW_SIZES = (4, 5, 6, 8, 9, 10)
 CONVEX_SIZES = (4, 8, 12)
+BLOCK_DRAWS = 6
 DRAW_DENSITY = 0.5
 PANEL_SEED = 2110_12693
 ROUNDING = 1e-12
-# The solver's calls, looked up by ``_pgd`` in the frontier module.
-COUNTED = {"re": "_matrix_re", "grad": "re_gradient", "fd": "_fd_gradient"}
+# The solver's calls, looked up by ``_pgd`` in the frontier module; a name
+# that a revision does not have is not counted there.
+COUNTED = {
+    "re": ("_matrix_re",),
+    "grad": ("re_gradient", "_atom_gradients"),
+    "fd": ("_fd_gradient",),
+}
 
 
 def panel(vf) -> dict:
-    """{label: model}: the cycles, the irreducible draws, then the convex
-    draws."""
+    """{label: model}: the cycles, the irreducible draws, the convex draws,
+    then the several-atom draws."""
     acceptance = importlib.import_module("vaxfront.acceptance")
     fixtures = importlib.import_module("vaxfront.fixtures")
     models = {f"cycle{n}": fixtures.cycle_model(n) for n in CYCLES}
@@ -73,6 +82,10 @@ def panel(vf) -> dict:
     for i, n in enumerate(CONVEX_SIZES):
         rng = np.random.default_rng([PANEL_SEED, len(DRAW_SIZES) + i])
         models[f"convex{i}-n{n}"] = acceptance.random_convex_model(rng, n)
+    for i in range(BLOCK_DRAWS):
+        rng = np.random.default_rng([PANEL_SEED, len(DRAW_SIZES) + len(CONVEX_SIZES) + i])
+        model, _ = acceptance.random_block_upper_model(rng)
+        models[f"blocks{i}-n{model.n}"] = model
     return models
 
 
@@ -84,14 +97,17 @@ def side_points(root: str, resolution: int) -> list[dict]:
     vf = importlib.import_module("vaxfront")
     frontier = importlib.import_module("vaxfront.frontier")
     counts = dict.fromkeys(COUNTED, 0)
-    for key, name in COUNTED.items():
-        original = getattr(frontier, name)
+    for key, names in COUNTED.items():
+        for name in names:
+            original = getattr(frontier, name, None)
+            if original is None:
+                continue
 
-        def counted(*args, _key=key, _original=original, **kw):
-            counts[_key] += 1
-            return _original(*args, **kw)
+            def counted(*args, _key=key, _original=original, **kw):
+                counts[_key] += 1
+                return _original(*args, **kw)
 
-        setattr(frontier, name, counted)
+            setattr(frontier, name, counted)
     by_cost = {}
     sweep = frontier._sweep
 
