@@ -11,7 +11,11 @@ Three routes are kept deliberately:
   solver take it with ``eigvalsh``, backward stable and several times
   cheaper than general QR (above ``_DENSE_CUTOFF`` groups ``spectral_radius``
   of S, told that S is symmetric by construction); ``dominant_pair`` maps
-  one ``eigh`` of S to the Perron pair through D^(1/2).  A one-group model
+  one ``eigh`` of S to the Perron pair through D^(1/2).  ``re_gradient``
+  takes the same one ``eigh``; where the top eigenvalue is tied, as on the
+  cycles, there is no Perron pair, and it returns the top eigenvector's
+  element of the generalized gradient instead of raising ``NonSimple``.
+  The general routes still raise there.  A one-group model
   keeps its exact entry K00 * eta0, and a kernel balanced only to the 1e-8
   of ``symmetrize`` the general routes.
 * ``spectral_radius`` condenses the support digraph into its strongly
@@ -351,12 +355,10 @@ def _residual(matrix: np.ndarray, vector: np.ndarray, value: float) -> float:
     return np.abs(matrix @ vector - value * vector).max()
 
 
-def _symmetric_pair(model: MetapopModel, m: np.ndarray, x: np.ndarray) -> EigenPair:
-    """Perron pair of K . diag(x) from one ``eigh`` of S = diag(r) M diag(r),
-    r = sqrt(x), M = D^(1/2) K D^(-1/2).  For S u = lam u, phi = r * u is a
-    left and M phi a right eigenvector of M . diag(x), so sqrt(d) * phi is a
-    left and (M phi) / sqrt(d) a right eigenvector of K . diag(x)."""
-    r = np.sqrt(x)
+def _symmetric_top(m: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray, bool]:
+    """Top eigenvalue lam and unit eigenvector u of S = diag(r) M diag(r),
+    r = sqrt(x), from one ``eigh``, and whether lam is simple within the
+    1e-8 gap threshold."""
     try:
         values, vectors = np.linalg.eigh(_symmetrized(m, x))
     except np.linalg.LinAlgError as exc:
@@ -364,11 +366,18 @@ def _symmetric_pair(model: MetapopModel, m: np.ndarray, x: np.ndarray) -> EigenP
     lam = float(values[-1])
     if lam <= 0.0:
         raise ZeroRadius("effective matrix is quasi-nilpotent")
-    if int((np.abs(values - lam) <= SIMPLE_GAP_TOL * lam).sum()) != 1:
-        raise NonSimple(
-            "dominant eigenvalue is not simple within the 1e-8 gap threshold"
-        )
-    u = vectors[:, -1]
+    simple = int((np.abs(values - lam) <= SIMPLE_GAP_TOL * lam).sum()) == 1
+    return lam, vectors[:, -1], simple
+
+
+def _symmetric_pair(model: MetapopModel, m: np.ndarray, x: np.ndarray,
+                    lam: float, u: np.ndarray) -> EigenPair:
+    """Perron pair of K . diag(x) from the simple top eigenpair (lam, u) of
+    S = diag(r) M diag(r), r = sqrt(x), M = D^(1/2) K D^(-1/2).  For
+    S u = lam u, phi = r * u is a left and M phi a right eigenvector of
+    M . diag(x), so sqrt(d) * phi is a left and (M phi) / sqrt(d) a right
+    eigenvector of K . diag(x)."""
+    r = np.sqrt(x)
     phi = np.maximum(r * u if u.sum() >= 0.0 else -r * u, 0.0)
     root_d = np.sqrt(model._balance.d)
     v = (m @ phi) / root_d
@@ -395,7 +404,12 @@ def dominant_pair(model: MetapopModel, eta: Strategy) -> EigenPair:
     x = model._values(eta)
     m = _route(model)
     if m is not None:
-        return _symmetric_pair(model, m, x)
+        lam, u, simple = _symmetric_top(m, x)
+        if not simple:
+            raise NonSimple(
+                "dominant eigenvalue is not simple within the 1e-8 gap threshold"
+            )
+        return _symmetric_pair(model, m, x, lam, u)
     effective = model.matrix * x
     try:
         values, vectors = np.linalg.eig(effective)
@@ -547,6 +561,24 @@ def re_gradient(model: MetapopModel, eta: Strategy) -> np.ndarray:
 
     Differentiating K diag(eta) v = lambda v for a simple lambda gives
     d lambda / d eta_j = (K^T phi)_j v_j / <phi, v>.
+
+    A model on the symmetric route takes one ``eigh`` of
+    S = diag(r) M diag(r), r = sqrt(eta).  Where its top eigenvalue lam is
+    tied within the 1e-8 gap threshold, R_e is not differentiable; the
+    generalized gradient is {lam diag(U Z U^T) / eta : Z >= 0, tr Z = 1} for
+    the cluster's basis U (Overton 1992; Lewis and Overton 1996), and the
+    element of the top eigenvector u that ``eigh`` returns is
+    (M (r * u))^2 / lam, since r_j (M (r * u))_j = lam u_j: nonnegative,
+    with eta . g = lam, and finite at eta_j = 0.  Every other model raises
+    ``NonSimple`` there, as ``dominant_pair`` does.
     """
-    pair = dominant_pair(model, eta)
+    m = _route(model)
+    if m is None:
+        pair = dominant_pair(model, eta)
+    else:
+        x = model._values(eta)
+        lam, u, simple = _symmetric_top(m, x)
+        if not simple:
+            return (m @ (np.sqrt(x) * u)) ** 2 / lam
+        pair = _symmetric_pair(model, m, x, lam, u)
     return (model.matrix.T @ pair.left) * pair.right

@@ -347,6 +347,23 @@ class TestGradientFallback:
         assert calls["re_gradient"] == 2
         assert calls["_fd_gradient"] >= 4
 
+    def test_cycle_sweep_takes_no_finite_differences(self, monkeypatch):
+        # The 12-cycle's Pareto iterates sit on tied top eigenvalues, where the
+        # symmetric route gives the top eigenvector's generalized gradient.
+        calls = []
+        fd_gradient = frontier._fd_gradient
+
+        def counted(model, eta):
+            calls.append(eta)
+            return fd_gradient(model, eta)
+
+        monkeypatch.setattr(frontier, "_fd_gradient", counted)
+        curve = pareto_frontier(fixtures.cycle_model(12), UNIFORM, resolution=6)
+        assert calls == []
+        want = [2.0, 1.8228756555329175, 1.618033988749895, 1.3660254037844362,
+                1.0, 0.8164965809277259, 0.0]
+        np.testing.assert_allclose(curve.losses(), want, rtol=1e-12, atol=1e-12)
+
 
 def _polytope_vertices(w, b, sense):
     """Every vertex of [0,1]^N cut by w . z >= b ('ge') or <= b ('le'): the

@@ -297,6 +297,57 @@ class TestGradient:
             checked += 1
 
 
+def _tied_top_cases():
+    """Exactly tied top eigenvalues on the symmetric route: the 12-cycle with
+    eta = 0 on groups 0 and 6 (two 5-paths, lambda = sqrt(3) double), and
+    the 2-group identity at all ones."""
+    eta = np.ones(12)
+    eta[[0, 6]] = 0.0
+    return [(fixtures.cycle_model(12), eta),
+            (MetapopModel(np.array([0.5, 0.5]), np.eye(2)), np.ones(2))]
+
+
+class TestTiedTopGradient:
+    """At a top eigenvalue tied within 1e-8 on the symmetric route,
+    ``re_gradient`` returns the top eigenvector's element of the generalized
+    gradient, from the one ``eigh``."""
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["cycle12-two-paths", "eye2"])
+    def test_element_of_the_generalized_gradient(self, monkeypatch, case):
+        model, eta = _tied_top_cases()[case]
+        value = effective_re(model, Strategy(eta))  # derives the balance once
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("general eigensolver called")
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        grad = re_gradient(model, Strategy(eta))
+        assert len(calls) == 1
+        assert (grad >= 0.0).all()
+        assert eta @ grad == pytest.approx(value, rel=1e-12)
+
+        # R_e is the largest Rayleigh quotient, so it rises at least along g.
+        rng = np.random.default_rng(161)
+        t = 1e-7
+        for _ in range(20):
+            delta = rng.uniform(-1.0, 1.0, eta.size)
+            delta[eta == 0.0] = np.abs(delta[eta == 0.0])
+            delta[eta == 1.0] = -np.abs(delta[eta == 1.0])
+            moved = effective_re(model, Strategy(eta + t * delta))
+            assert (moved - value) / t >= grad @ delta - 1e-6
+        # No Perron pair exists at a tie.
+        with pytest.raises(NonSimple):
+            dominant_pair(model, Strategy(eta))
+
+
 class TestInertia:
     def test_positive_definite(self):
         assert inertia(fixtures.positive_definite_model().matrix) == (3, 0)

@@ -11,7 +11,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 with mock.patch.dict(os.environ):  # output_diff pins BLAS threads on import
     from bench_pair import spread, summarize
     from output_diff import frontier_census, frontier_curves, moved, moved_points
-    from solver_panel import area, compare
+    from solver_panel import area, compare, report
 
 DECLARED = [{"name": "run_s", "unit": "s", "better": "lower"}]
 
@@ -159,6 +159,32 @@ class TestSolverPanel:
         assert anti["largest_worsening"]["cost"] == 0.5
         assert pareto["base_calls"] == {"re": 18, "grad": 6, "fd": 1}
         assert pareto["change_calls"] == {"re": 9, "grad": 4, "fd": 0}
+
+    def test_summary_lists_models_with_finite_differences(self):
+        base = [
+            _panel_point("pareto", 0.5, 1.0, fd=3, model="cycle"),
+            _panel_point("pareto", 0.75, 0.5, fd=2, model="cycle"),
+            _panel_point("pareto", 0.5, 1.0, fd=4, model="draw"),
+            _panel_point("pareto", 0.5, 1.0, model="convex"),
+            _panel_point("anti", 0.5, 1.5, model="cycle"),
+        ]
+        change = [
+            _panel_point("pareto", 0.5, 1.0, model="cycle"),
+            _panel_point("pareto", 0.75, 0.5, model="cycle"),
+            _panel_point("pareto", 0.5, 1.0, fd=5, model="draw"),
+            _panel_point("pareto", 0.5, 1.0, fd=1, model="convex"),
+            _panel_point("anti", 0.5, 1.5, model="cycle"),
+        ]
+        result = compare(base, change)
+        pareto, anti = result["summary"]["pareto"], result["summary"]["anti"]
+        assert pareto["fd_models"] == {"cycle": {"base": 5, "change": 0},
+                                       "draw": {"base": 4, "change": 5},
+                                       "convex": {"base": 0, "change": 1}}
+        assert anti["fd_models"] == {}
+        lines = report(result).splitlines()
+        assert lines[-2].endswith(
+            "finite differences by model cycle 5 -> 0, draw 4 -> 5, convex 0 -> 1")
+        assert lines[-1].endswith("finite differences by model none")
 
 
 class TestSpread:

@@ -23,8 +23,9 @@ the projected-gradient loop: R_e evaluations, eigenvector gradients (whole
 matrix or per tied atom) and finite-difference gradients.  Endpoints have no
 solve.  Points pair by cost.
 A summary per side follows: moved points by verdict, the largest worsening,
-the total calls and the summed area under the curves.  ``--out`` also
-writes every point as JSON.
+the total calls, the summed area under the curves, and each model whose
+sweep makes finite-difference gradients on either side, with the count on
+each side.  ``--out`` also writes every point as JSON.
 """
 
 from __future__ import annotations
@@ -173,6 +174,7 @@ def compare(base: list[dict], change: list[dict]) -> dict:
         entry["unpaired"] = (sum(p["kind"] == kind for p in base)
                              + sum(p["kind"] == kind for p in change) - 2 * len(mine))
         entry["largest_worsening"] = min(worse, key=lambda r: r["gain"], default=None)
+        fd_models = {}
         for side, points in (("base", base), ("change", change)):
             own = [p for p in points if p["kind"] == kind]
             entry[f"{side}_calls"] = {k: sum(p[k] for p in own) for k in COUNTED}
@@ -180,6 +182,11 @@ def compare(base: list[dict], change: list[dict]) -> dict:
             entry[f"{side}_area"] = math.fsum(
                 area([p for p in own if p["model"] == m]) for m in models
             )
+            for p in own:
+                if p["fd"]:
+                    counts = fd_models.setdefault(p["model"], {"base": 0, "change": 0})
+                    counts[side] += p["fd"]
+        entry["fd_models"] = fd_models
         summary[kind] = entry
     return {"points": rows, "summary": summary}
 
@@ -203,6 +210,9 @@ def report(result: dict) -> str:
             f"{s['base_area']:.6f} -> {s['change_area']:.6f}; largest worsening "
             + (f"{worst['gain']:+.3g} ({worst['model']} at c = {worst['cost']:.6g})"
                if worst else "none")
+            + "; finite differences by model "
+            + (", ".join(f"{m} {c['base']} -> {c['change']}"
+                         for m, c in s["fd_models"].items()) or "none")
         )
     return "\n".join(lines)
 
