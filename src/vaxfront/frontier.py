@@ -26,10 +26,11 @@ and Overton 1996), which lowers the tied radii at one rate.  The first
 trial stays 4 times the last accepted step, as the two-point step
 overshoots the kinks.  The anti side keeps the whole-matrix gradient.  On
 a symmetrizable K a tied top eigenvalue still has a gradient, the top
-eigenvector's element of the generalized gradient.  Elsewhere a gradient
-that cannot be taken, as at eigenvalues tied within 1e-8 that the
-eigensolver does not keep apart on a general K or among the atom radii,
-falls back to central finite differences.
+eigenvector's element of the generalized gradient.  On a general K both
+gradients come from ``spectral._perron_roots``; where it gives none, at
+eigenvalues tied within 1e-8 that the eigensolver does not keep apart or
+a top root whose left vector fails from both the inverse and the
+transpose, central finite differences stand in.
 Every Armijo ladder stops before a trial whose required decrease is below
 the rounding of R_e.
 
@@ -239,8 +240,7 @@ def _pgd(model, project, x0, maximize, max_iter=PGD_ITERATION_CAP,
     1e-3 of R_e, which lowers the tied radii together where one gradient
     would zigzag across the kink.  On a symmetrizable K, ``re_gradient``
     answers at a tied top eigenvalue too.  Where either raises ``NonSimple``
-    or ``NonConvergence``, as at eigenvalues tied within 1e-8 that the
-    eigensolver does not keep apart on a general K or among the atom radii,
+    or ``NonConvergence`` (on a general K, from ``spectral._perron_roots``),
     the gradient comes from central finite differences, for good after two
     failures; a zero radius ends the run.
 

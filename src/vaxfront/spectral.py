@@ -15,9 +15,8 @@ Three routes are kept deliberately:
   takes the same one ``eigh``; where the top eigenvalue is tied, as on the
   cycles, there is no Perron pair, and it returns the top eigenvector's
   element of the generalized gradient instead of raising ``NonSimple``.
-  The general routes still raise there.  A one-group model
-  keeps its exact entry K00 * eta0, and a kernel balanced only to the 1e-8
-  of ``symmetrize`` the general routes.
+  A one-group model, whose radius is its exact entry K00 * eta0, and a
+  kernel balanced only to the 1e-8 of ``symmetrize`` take the general route.
 * ``spectral_radius`` condenses the support digraph into its strongly
   connected blocks (the radius of a nonnegative matrix is the maximum over
   the diagonal blocks of its Frobenius form) and takes each block's radius
@@ -30,11 +29,14 @@ Three routes are kept deliberately:
   block whose bracket contracts too slowly to close within the iteration
   cap (n steps for a symmetric block, whose eigensolver is cheap) leaves
   the loop early for the dense eigensolver.
-* Every other model takes dense QR (LAPACK via ``numpy.linalg.eigvals``)
-  in ``_dense_radius`` up to ``_DENSE_CUTOFF`` groups, and
-  ``spectral_radius`` above it.  ``full_spectrum`` runs the same QR for all
-  N eigenvalues and their clusters; it is the spectrum behind ``inertia``
-  and the cross-check oracle in the criteria and the tests.
+* Every other model, the general route, takes dense QR (LAPACK via
+  ``numpy.linalg.eigvals``) in ``_dense_radius`` up to ``_DENSE_CUTOFF``
+  groups, and ``spectral_radius`` above it.  ``dominant_pair``,
+  ``re_gradient`` and the solver's atom gradients take their roots from one
+  ``eig`` in ``_perron_roots``, and raise ``NonSimple`` at a tied top.
+  ``full_spectrum`` runs the same QR for all N eigenvalues and their
+  clusters; it is the spectrum behind ``inertia`` and the cross-check
+  oracle in the criteria and the tests.
 
 Input with an acyclic support has a radius of exactly zero on every route:
 ``spectral_radius`` condenses it into one-group blocks with zero loops, and
@@ -336,25 +338,6 @@ class EigenPair:
     left: np.ndarray
 
 
-def _real_eigenvector(matrix: np.ndarray, target: float) -> np.ndarray:
-    """Clipped unit-sum eigenvector at the eigenvalue nearest ``target``; on the
-    transpose, the left vector when the eigenvector matrix is near-singular."""
-    values, vectors = np.linalg.eig(matrix)
-    idx = int(np.argmin(np.abs(values - target)))
-    v = vectors[:, idx]
-    pivot = v[int(np.argmax(np.abs(v)))]
-    v = v / pivot
-    if np.abs(v.imag).max() > 1e-8:
-        raise NonSimple("dominant eigenvector is not numerically real")
-    v = v.real
-    v[v < 1e-13] = 0.0
-    return v / v.sum()
-
-
-def _residual(matrix: np.ndarray, vector: np.ndarray, value: float) -> float:
-    return np.abs(matrix @ vector - value * vector).max()
-
-
 def _symmetric_top(m: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray, bool]:
     """Top eigenvalue lam and unit eigenvector u of S = diag(r) M diag(r),
     r = sqrt(x), from one ``eigh``, and whether lam is simple within the
@@ -386,160 +369,26 @@ def _symmetric_pair(model: MetapopModel, m: np.ndarray, x: np.ndarray,
     return EigenPair(value=lam, right=right, left=left / float(left @ right))
 
 
-def dominant_pair(model: MetapopModel, eta: Strategy) -> EigenPair:
-    """Perron eigenpair of the effective matrix.
-
-    Raises ``ZeroRadius`` when rho = 0 and ``NonSimple`` when the dominant
-    eigenvalue is not simple within the 1e-8 relative gap threshold; callers
-    must then fall back to gradient-free methods.
-
-    A model on the symmetric route takes one ``eigh`` of
-    diag(sqrt(eta)) M diag(sqrt(eta)) and maps its top eigenvector to the
-    pair.  For any other model, the left eigenvector comes from the
-    corresponding row of the inverse eigenvector matrix when that row is
-    finite and well conditioned (one factorization for the whole pair), with
-    an independent transpose-side solve as fallback; a vector failing its
-    residual check raises ``NonConvergence``.
-    """
-    x = model._values(eta)
-    m = _route(model)
-    if m is not None:
-        lam, u, simple = _symmetric_top(m, x)
-        if not simple:
-            raise NonSimple(
-                "dominant eigenvalue is not simple within the 1e-8 gap threshold"
-            )
-        return _symmetric_pair(model, m, x, lam, u)
-    effective = model.matrix * x
+def _left_rows(effective: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Left vectors of the eigenvalues ``lams`` of ``effective``, one row
+    each: the eigenvectors of its transpose's eigenvalues nearest them."""
     try:
-        values, vectors = np.linalg.eig(effective)
+        values_t, vectors_t = np.linalg.eig(effective.T)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigendecomposition failed: {exc}") from exc
-    rho = float(np.abs(values).max())
-    if rho <= 0.0:
-        raise ZeroRadius("effective matrix is quasi-nilpotent")
-    close = np.abs(values - rho) <= SIMPLE_GAP_TOL * rho
-    if int(close.sum()) != 1:
-        raise NonSimple(
-            "dominant eigenvalue is not simple within the 1e-8 gap threshold"
-        )
-    idx = int(close.argmax())
-    lam = float(values[idx].real)
-    bound = RESIDUAL_TOL * max(lam, 1.0)
-
-    right = left = None
-    v = vectors[:, idx]
-    if np.abs(v.imag).max() <= 1e-10 * np.abs(v).max():
-        v = v.real
-        sign = 1.0 if v.sum() >= 0 else -1.0
-        v = sign * v
-        if v.min() >= -1e-12 * v.max():
-            scale = v.sum()
-            kept = np.maximum(v, 0.0)
-            candidate = kept / kept.sum()
-            try:
-                phi = np.linalg.inv(vectors)[idx]
-            except np.linalg.LinAlgError:
-                phi = None
-            # A non-finite row of the inverse fails the chained test below.
-            if phi is not None and np.abs(phi.imag).max() <= 1e-8 * np.abs(phi).max() < np.inf:
-                phi = sign * phi.real * scale
-                if phi.min() >= -1e-12 * max(phi.max(), 1e-300):
-                    phi = np.maximum(phi, 0.0)
-                    denom = float(phi @ candidate)
-                    if denom > 0:
-                        right, left = candidate, phi / denom
-
-    if right is not None and _residual(effective, right, lam) > bound:
-        right = None
-    if right is None:
-        right = _real_eigenvector(effective, lam)
-        if _residual(effective, right, lam) > bound:
-            raise NonConvergence("right eigenvector residual above tolerance")
-        left = _real_eigenvector(effective.T, lam)
-        # On a reducible matrix with radii tied across blocks the two solves
-        # can pick different blocks; orthogonal vectors would divide to inf
-        # and NaN, and NaN passes any ``>`` test.
-        overlap = float(left @ right)
-        if not overlap > 0:
-            raise NonConvergence("left and right eigenvectors are orthogonal")
-        left = left / overlap
-    if not _residual(effective.T, left, lam) <= bound:
-        raise NonConvergence("left eigenvector residual above tolerance")
-    return EigenPair(value=lam, right=right, left=left)
-
-
-def _atom_gradients(model: MetapopModel, x: np.ndarray) -> np.ndarray:
-    """Gradients of the atom radii within ``TIE_WINDOW`` rho of rho, one row
-    each, the largest radius first, at the strategy values ``x``.
-
-    One ``eig`` and one ``inv`` of K . diag(x) serve every root: a simple
-    eigenvalue lambda with right vector v and left vector phi (its row of the
-    inverse eigenvector matrix) has the gradient (K^T phi) * v / <phi, v>.  A
-    real eigenvalue in the window whose gradient is nonnegative, and whose
-    left vector passes the residual test of ``dominant_pair``, is taken for
-    an atom's Perron root; its gradient lives on the atom alone, since v
-    vanishes on the groups the atom does not infect and K^T phi on those
-    that do not infect it.  Rounding below zero is clipped.  Where the
-    inverse is singular or rho's left vector fails, the left vectors come
-    from an ``eig`` of the transpose instead, as in ``dominant_pair``.
-
-    Raises ``ZeroRadius`` when rho = 0; ``NonSimple`` when two eigenvalues in
-    the window lie within the 1e-8 gap threshold of each other, unless both
-    pass and their gradients share no group (two atoms whose radii tie
-    exactly, as at a Pareto optimum, that the eigensolver kept apart); and
-    ``NonConvergence`` when a solve fails or rho itself does not pass.
-    """
-    effective = model.matrix * x
-    try:
-        values, vectors = np.linalg.eig(effective)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"eigendecomposition failed: {exc}") from exc
-    rho = float(np.abs(values).max())
-    if rho <= 0.0:
-        raise ZeroRadius("effective matrix is quasi-nilpotent")
-    near = np.flatnonzero(np.abs(values - rho) <= TIE_WINDOW * rho)
-    if len(near) > 1:
-        near = near[np.argsort(-values[near].real, kind="stable")]
-    lams = values[near]
-    v = vectors[:, near].real.T
-    try:
-        phi = np.linalg.inv(vectors)[near].real
-        grads, kept = _perron_rows(model.matrix, x, lams, v, phi)
-    except np.linalg.LinAlgError:
-        kept = None
-    if kept is None or not kept[0]:
-        # A defective eigenvalue elsewhere, such as the zero cluster of a
-        # strategy with several zeros, can leave the inverse singular or
-        # inaccurate: take the left vectors from the transpose instead.
-        try:
-            values_t, vectors_t = np.linalg.eig(effective.T)
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergence(f"eigendecomposition failed: {exc}") from exc
-        match = np.abs(values_t[:, None] - lams[None, :]).argmin(axis=0)
-        grads, kept = _perron_rows(model.matrix, x, lams, v, vectors_t[:, match].real.T)
-        if not kept[0]:
-            raise NonConvergence("the dominant eigenvalue gives no Perron gradient")
-    grads = np.maximum(grads, 0.0, out=grads)
-    if len(near) > 1:
-        # Each eigenvalue is tied with itself; any other tie must be between
-        # atoms whose pairs the eigensolver kept apart.
-        tied = np.abs(np.subtract.outer(lams, lams)) <= SIMPLE_GAP_TOL * rho
-        if tied.sum() > len(near):
-            top = grads.max(axis=1)
-            disjoint = (grads @ grads.T) <= _LEAK_TOL * np.outer(top, top)
-            if (tied & ~(np.outer(kept, kept) & disjoint)).sum() > len(near):
-                raise NonSimple("eigenvalues tied within the 1e-8 gap threshold")
-        grads = grads[kept]
-    return grads
+    match = np.abs(values_t[:, None] - lams[None, :]).argmin(axis=0)
+    return vectors_t[:, match].real.T
 
 
 def _perron_rows(k, x, lams, v, phi):
     """The gradients (K^T phi) * v / <phi, v> of the eigenvalues ``lams`` of
     K . diag(x), one row each, and which of them pass for Perron roots: a
     real eigenvalue, a gradient nonnegative up to ``_LEAK_TOL``, and a left
-    vector within the residual bound of ``dominant_pair``.  The checks run
-    in Python floats over the few rows."""
+    residual within ``RESIDUAL_TOL`` max(lambda, 1) of the size of phi, in
+    Python floats over the few rows.  ``LinAlgError`` if phi is not finite."""
+    sizes = np.abs(phi).max(axis=1).tolist()
+    if not math.isfinite(sum(sizes)):
+        raise np.linalg.LinAlgError("left vectors are not finite")
     kt_phi = phi @ k  # row i is (K^T phi_i)^T, and times x it is phi_i^T K diag(x)
     grads = kt_phi * v
     grads /= (phi * v).sum(axis=1)[:, None]
@@ -549,11 +398,141 @@ def _perron_rows(k, x, lams, v, phi):
         and res <= RESIDUAL_TOL * max(lam, 1.0) * size
         for imag, lam, top, low, res, size in zip(
             lams.imag.tolist(), lams.real.tolist(), grads.max(axis=1).tolist(),
-            grads.min(axis=1).tolist(), residual.tolist(),
-            np.abs(phi).max(axis=1).tolist(),
+            grads.min(axis=1).tolist(), residual.tolist(), sizes,
         )
     ])
     return grads, kept
+
+
+def _perron_roots(k: np.ndarray, x: np.ndarray, window: float):
+    """The roots of K . diag(x) within ``window`` rho of its spectral radius
+    rho, the largest first, from one ``eig``: (rho, their eigenvalues, right
+    vectors v and left vectors phi as rows, their ``_perron_rows`` gradients
+    clipped at zero, and which of them pass for Perron roots).
+
+    The left vectors are the roots' rows of the inverse eigenvector matrix.
+    A defective eigenvalue elsewhere, such as the zero cluster of a strategy
+    with several zeros, can leave that inverse singular, inaccurate or not
+    finite; where it fails or rho's row does not pass, they come from one
+    ``eig`` of the transpose instead.
+
+    Raises ``ZeroRadius`` when rho = 0, ``NonSimple`` when the window holds
+    no eigenvalue (one of largest modulus is complex or defective), and
+    ``NonConvergence`` when a solve fails or rho's root does not pass.
+    """
+    effective = k * x
+    try:
+        values, vectors = np.linalg.eig(effective)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"eigendecomposition failed: {exc}") from exc
+    rho = float(np.abs(values).max())
+    if rho <= 0.0:
+        raise ZeroRadius("effective matrix is quasi-nilpotent")
+    near = np.flatnonzero(np.abs(values - rho) <= window * rho)
+    if len(near) == 0:
+        raise NonSimple("no eigenvalue lies at the spectral radius")
+    if len(near) > 1:
+        near = near[np.argsort(-values[near].real, kind="stable")]
+    lams = values[near]
+    v = vectors[:, near].real.T
+    try:
+        phi = np.linalg.inv(vectors)[near].real
+        grads, kept = _perron_rows(k, x, lams, v, phi)
+    except np.linalg.LinAlgError:
+        kept = None
+    if kept is None or not kept[0]:
+        phi = _left_rows(effective, lams)
+        grads, kept = _perron_rows(k, x, lams, v, phi)
+        if not kept[0]:
+            raise NonConvergence("the dominant eigenvalue gives no Perron gradient")
+    return rho, lams, v, phi, np.maximum(grads, 0.0, out=grads), kept
+
+
+def _simple_root(k: np.ndarray, x: np.ndarray):
+    """``_perron_roots`` in the 1e-8 gap threshold, which holds rho alone."""
+    roots = _perron_roots(k, x, SIMPLE_GAP_TOL)
+    if len(roots[1]) > 1:
+        raise NonSimple("dominant eigenvalue is not simple within the 1e-8 gap threshold")
+    return roots
+
+
+def _checked_pair(effective, lam, v, phi) -> EigenPair | None:
+    """The ``EigenPair`` of the right vector v and left vector phi of
+    ``effective`` at lam, or None unless each is of one sign, they overlap
+    and both residuals are within ``RESIDUAL_TOL`` max(lam, 1)."""
+    v, phi = (u if u.sum() >= 0.0 else -u for u in (v, phi))
+    if not (v.min() >= -1e-12 * v.max() and phi.min() >= -1e-12 * phi.max()):
+        return None
+    right = np.maximum(v, 0.0)
+    right /= right.sum()
+    left = np.maximum(phi, 0.0)
+    overlap = float(left @ right)
+    if overlap <= 0.0:
+        return None
+    left /= overlap
+    bound = RESIDUAL_TOL * max(lam, 1.0)
+    if not (np.abs(effective @ right - lam * right).max() <= bound
+            and np.abs(effective.T @ left - lam * left).max() <= bound):
+        return None
+    return EigenPair(value=lam, right=right, left=left)
+
+
+def dominant_pair(model: MetapopModel, eta: Strategy) -> EigenPair:
+    """Perron eigenpair of the effective matrix.
+
+    Raises ``ZeroRadius`` when rho = 0 and ``NonSimple`` when the dominant
+    eigenvalue is not simple within the 1e-8 relative gap threshold; callers
+    must then fall back to gradient-free methods.
+
+    A model on the symmetric route takes one ``eigh`` of
+    diag(sqrt(eta)) M diag(sqrt(eta)) and maps its top eigenvector to the
+    pair.  Any other model takes rho's vectors from ``_perron_roots``; a
+    pair that fails ``_checked_pair`` takes its left vector from the
+    transpose instead, and raises ``NonConvergence`` if it still fails.
+    """
+    x = model._values(eta)
+    m = _route(model)
+    if m is not None:
+        lam, u, simple = _symmetric_top(m, x)
+        if not simple:
+            raise NonSimple("dominant eigenvalue is not simple within the 1e-8 gap threshold")
+        return _symmetric_pair(model, m, x, lam, u)
+    _, lams, v, phi, _, _ = _simple_root(model.matrix, x)
+    effective = model.matrix * x
+    lam = float(lams[0].real)
+    pair = (_checked_pair(effective, lam, v[0], phi[0])
+            or _checked_pair(effective, lam, v[0], _left_rows(effective, lams)[0]))
+    if pair is None:
+        raise NonConvergence("the dominant eigenpair fails its sign or residual checks")
+    return pair
+
+
+def _atom_gradients(model: MetapopModel, x: np.ndarray) -> np.ndarray:
+    """Gradients of the atom radii within ``TIE_WINDOW`` rho of rho, one row
+    each, the largest radius first, at the strategy values ``x``.
+
+    The roots of ``_perron_roots`` that pass for Perron roots are the atom
+    radii: the gradient (K^T phi) * v / <phi, v> of one lives on its atom
+    alone, since v vanishes on the groups the atom does not infect and
+    K^T phi on those that do not infect it.
+
+    Raises as ``_perron_roots`` does, and ``NonSimple`` when two eigenvalues
+    in the window lie within the 1e-8 gap threshold of each other, unless
+    both pass and their gradients share no group (two atoms whose radii tie
+    exactly, as at a Pareto optimum, that the eigensolver kept apart).
+    """
+    rho, lams, _, _, grads, kept = _perron_roots(model.matrix, x, TIE_WINDOW)
+    if len(lams) > 1:
+        # Each eigenvalue is tied with itself; any other tie must be between
+        # atoms whose pairs the eigensolver kept apart.
+        tied = np.abs(np.subtract.outer(lams, lams)) <= SIMPLE_GAP_TOL * rho
+        if tied.sum() > len(lams):
+            top = grads.max(axis=1)
+            disjoint = (grads @ grads.T) <= _LEAK_TOL * np.outer(top, top)
+            if (tied & ~(np.outer(kept, kept) & disjoint)).sum() > len(lams):
+                raise NonSimple("eigenvalues tied within the 1e-8 gap threshold")
+        grads = grads[kept]
+    return grads
 
 
 def re_gradient(model: MetapopModel, eta: Strategy) -> np.ndarray:
@@ -569,16 +548,16 @@ def re_gradient(model: MetapopModel, eta: Strategy) -> np.ndarray:
     the cluster's basis U (Overton 1992; Lewis and Overton 1996), and the
     element of the top eigenvector u that ``eigh`` returns is
     (M (r * u))^2 / lam, since r_j (M (r * u))_j = lam u_j: nonnegative,
-    with eta . g = lam, and finite at eta_j = 0.  Every other model raises
-    ``NonSimple`` there, as ``dominant_pair`` does.
+    with eta . g = lam, and finite at eta_j = 0.  Every other model takes
+    rho's gradient row from ``_perron_roots`` and raises ``NonSimple`` there,
+    as ``dominant_pair`` does.
     """
+    x = model._values(eta)
     m = _route(model)
     if m is None:
-        pair = dominant_pair(model, eta)
-    else:
-        x = model._values(eta)
-        lam, u, simple = _symmetric_top(m, x)
-        if not simple:
-            return (m @ (np.sqrt(x) * u)) ** 2 / lam
-        pair = _symmetric_pair(model, m, x, lam, u)
+        return _simple_root(model.matrix, x)[4][0]
+    lam, u, simple = _symmetric_top(m, x)
+    if not simple:
+        return (m @ (np.sqrt(x) * u)) ** 2 / lam
+    pair = _symmetric_pair(model, m, x, lam, u)
     return (model.matrix.T @ pair.left) * pair.right

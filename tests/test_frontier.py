@@ -647,7 +647,7 @@ _TWO_ATOM_PARETO = [
 _TWO_ATOM_ANTI = [
     ("0x1.9318c46ec85f0p+0", ("0x0.0p+0", "0x0.0p+0",
                               "0x1.0000000000000p+0", "0x1.0000000000000p+0")),
-    ("0x1.5cc2ceeac6a38p+0", ("0x1.5555555555558p-1", "0x1.0000000000000p+0",
+    ("0x1.5cc2ceeac6a37p+0", ("0x1.5555555555555p-1", "0x1.0000000000000p+0",
                               "0x0.0p+0", "0x0.0p+0")),
     ("0x1.35bc226074663p+0", ("0x1.5555555555555p-2", "0x1.0000000000000p+0",
                               "0x0.0p+0", "0x0.0p+0")),

@@ -192,20 +192,68 @@ class TestDominantPair:
 
     def test_residual_invariants(self):
         rng = np.random.default_rng(6)
+        cases = []
         for _ in range(30):
             n = int(rng.integers(2, 8))
             model = random_model(rng, n, scale=2.0)
-            eta = Strategy(0.1 + 0.9 * rng.random(n))
-            try:
-                pair = dominant_pair(model, eta)
-            except NonSimple:
-                continue
+            cases.append((model, Strategy(0.1 + 0.9 * rng.random(n)), NonSimple))
+        # Zero coordinates leave the eigenvector matrix ill-conditioned or
+        # singular, and its inverse rows of mixed sign: the pair must then
+        # come from the transpose or raise, never hold NaN.
+        rng = np.random.default_rng(17)
+        while len(cases) < 60:
+            n = int(rng.integers(3, 9))
+            model = random_model(rng, n, density=0.5)
+            values = 0.1 + 0.9 * rng.random(n)
+            values[rng.choice(n, int(rng.integers(1, n)), replace=False)] = 0.0
+            if effective_re(model, Strategy(values)) > 0.0:
+                cases.append((model, Strategy(values), (NonSimple, NonConvergence)))
+        # A strategy of the solver's 8-group irreducible panel draw whose
+        # inverse row of the Perron root is of mixed sign.
+        rng = np.random.default_rng([2110_12693, 3])
+        atoms = ()
+        while len(atoms) != 1 or len(atoms[0]) != 8:
+            model = random_model(rng, 8, density=0.5)
+            atoms = frobenius_decompose(model).atoms
+        mixed = Strategy(np.array([float.fromhex(h) for h in (
+            "0x1.e7f1d8902f798p-3", "0x0.0p+0", "0x1.cf3e73f92681cp-1", "0x0.0p+0",
+            "0x1.0000000000000p+0", "0x1.c399db7797493p-1", "0x1.652e967681404p-1",
+            "0x0.0p+0")]))
+        cases.append((model, mixed, (NonSimple, NonConvergence)))
+        refused = 0
+        for model, eta, allowed in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    pair = dominant_pair(model, eta)
+                except allowed:
+                    refused += 1
+                    continue
+            assert np.isfinite(pair.left).all() and np.isfinite(pair.right).all()
             effective = model.effective_matrix(eta)
             bound = 1e-10 * max(pair.value, 1.0)
             assert np.abs(effective @ pair.right - pair.value * pair.right).max() <= bound
             assert np.abs(effective.T @ pair.left - pair.value * pair.left).max() <= bound
             assert abs(np.abs(pair.right).sum() - 1.0) <= 1e-12
             assert pair.left @ pair.right == pytest.approx(1.0, abs=1e-10)
+        assert refused < len(cases) // 2
+
+    def test_empty_window_is_not_simple(self, monkeypatch):
+        # A defective top eigenvalue splits into a complex pair whose modulus
+        # exceeds every real root; here every eigenvalue is turned off the
+        # real axis, so none lies within the 1e-8 gap threshold of rho.
+        model = random_model(np.random.default_rng(9), 4)
+        eta = Strategy(np.array([0.2, 0.5, 0.7, 1.0]))
+        eig = np.linalg.eig
+
+        def turned(a):
+            values, vectors = eig(a)
+            return values * np.exp(0.1j), vectors
+
+        monkeypatch.setattr(np.linalg, "eig", turned)
+        for call in (dominant_pair, re_gradient):
+            with pytest.raises(NonSimple):
+                call(model, eta)
 
     def test_zero_radius(self):
         model = MetapopModel(weights=np.array([0.5, 0.5]), matrix=np.zeros((2, 2)))
@@ -245,15 +293,33 @@ class TestDominantPair:
         eta = Strategy(np.array([0.2, 0.0, 0.7, 1.0]))
         expected = dominant_pair(model, eta)
         monkeypatch.setattr(np.linalg, "inv", lambda a: np.full(a.shape, bad))
+        eig, solves = np.linalg.eig, []
+        monkeypatch.setattr(np.linalg, "eig", lambda a: solves.append(a) or eig(a))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             pair = dominant_pair(model, eta)
+        # One solve of K . diag(eta) and one of its transpose, no more.
+        assert len(solves) == 2
         assert pair.value == expected.value
         np.testing.assert_allclose(pair.right, expected.right, rtol=0, atol=1e-12)
         np.testing.assert_allclose(pair.left, expected.left, rtol=1e-9, atol=0)
 
 
 class TestGradient:
+    def test_one_eig_and_one_inv_per_call(self, monkeypatch):
+        model = random_model(np.random.default_rng(9), 4)
+        x = np.array([0.2, 0.5, 0.7, 1.0])
+        calls = []
+        for name in ("eig", "inv"):
+            solve = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda a, _n=name, _f=solve: calls.append(_n) or _f(a))
+        for gradient in (lambda: re_gradient(model, Strategy(x)),
+                         lambda: spectral._atom_gradients(model, x)):
+            calls.clear()
+            gradient()
+            assert calls == ["eig", "inv"]
+
     def test_scalar(self):
         model = MetapopModel(weights=np.array([1.0]), matrix=np.array([[3.0]]))
         grad = re_gradient(model, Strategy(np.array([0.5])))

@@ -4,10 +4,10 @@
 
 Runs every operation of every workload in ``perfbench/workloads.py`` once
 per seed, on the committed files of REV (extracted as ``bench_pair.py``
-does) and on the working tree.  Each side runs in a fresh process that
-imports vaxfront and the workloads from its own tree, with one BLAS thread
-as in ``perfbench/run.py``.  An operation's output is the JSON summary the
-benchmark checks byte for byte from round to round.
+does) and on the working tree.  The two sides run at once, each in a
+fresh process that imports vaxfront and the workloads from its own tree,
+with one BLAS thread as in ``perfbench/run.py``.  An operation's output is
+the JSON summary the benchmark checks byte for byte from round to round.
 
 The output file records, per operation, whether the two summaries are
 identical, and for each output that moved the old and new value of every
@@ -172,10 +172,10 @@ def main(argv=None) -> int:
     base_dir = Path(tempfile.mkdtemp(prefix="output-diff-"))
     try:
         extract(base_sha, base_dir)
-        sides = {}
-        for side, root in (("base", base_dir), ("change", ROOT)):
-            with context.Pool(1) as pool:
-                sides[side] = pool.apply(side_outputs, (str(root), seeds))
+        with context.Pool(2, maxtasksperchild=1) as pool:
+            pending = {side: pool.apply_async(side_outputs, (str(root), seeds))
+                       for side, root in (("base", base_dir), ("change", ROOT))}
+            sides = {side: result.get() for side, result in pending.items()}
     finally:
         shutil.rmtree(base_dir, ignore_errors=True)
 

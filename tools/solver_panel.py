@@ -13,8 +13,8 @@ symmetrizable but not symmetric; and six seeded
 minimizing solves step along tied atom radii.  Each model is swept
 on both sides, ``pareto_frontier`` and ``anti_pareto_frontier``, with
 uniform costs and the default effort.  REV's committed files are extracted
-as ``bench_pair.py`` does; each side runs in a fresh process that imports
-vaxfront from its own tree, with one BLAS thread.
+as ``bench_pair.py`` does; the two sides run at once, each in a fresh
+process that imports vaxfront from its own tree, with one BLAS thread.
 
 Per point it reports the cost, the old and new loss, the signed gain
 towards the curve's objective (lower loss on the Pareto side, higher on the
@@ -229,10 +229,10 @@ def main(argv=None) -> int:
     base_dir = Path(tempfile.mkdtemp(prefix="solver-panel-"))
     try:
         extract(base_sha, base_dir)
-        sides = {}
-        for side, root in (("base", base_dir), ("change", ROOT)):
-            with context.Pool(1) as pool:
-                sides[side] = pool.apply(side_points, (str(root), args.resolution))
+        with context.Pool(2, maxtasksperchild=1) as pool:
+            pending = {side: pool.apply_async(side_points, (str(root), args.resolution))
+                       for side, root in (("base", base_dir), ("change", ROOT))}
+            sides = {side: result.get() for side, result in pending.items()}
     finally:
         shutil.rmtree(base_dir, ignore_errors=True)
     result = compare(sides["base"], sides["change"])
