@@ -201,11 +201,13 @@ def criterion_counterexample_spectra():
         (fixtures.counterexample_positive_spectrum(), (24.8, 2.9, 1.3)),
         (fixtures.counterexample_single_positive(), (26.3, -1.4, -3.9)),
     ]
-    full_spectrum(cases[0][0].matrix)  # warm LAPACK before timing
     for model, expected in cases:
-        t0 = time.perf_counter()
-        spec = full_spectrum(model.matrix)
-        elapsed = time.perf_counter() - t0
+        # The fastest of five solves times the solve, not the scheduler.
+        elapsed = math.inf
+        for _ in range(5):
+            t0 = time.perf_counter()
+            spec = full_spectrum(model.matrix)
+            elapsed = min(elapsed, time.perf_counter() - t0)
         got = sorted(spec.values.real, reverse=True)
         for val, ref in zip(got, sorted(expected, reverse=True)):
             _check(abs(val - ref) <= 0.05, failures, f"eigenvalue {val} vs {ref}")

@@ -24,12 +24,12 @@ radius within 1e-3 of R_e, each projected onto the constraints active at
 eta, and the minimum-norm point of their convex hull (Wolfe 1975; Lewis
 and Overton 1996), which lowers the tied radii at one rate.  The first
 trial stays 4 times the last accepted step, as the two-point step
-overshoots the kinks.  The anti side keeps the whole-matrix gradient.  On
-a symmetrizable K a tied top eigenvalue still has a gradient, the top
-eigenvector's element of the generalized gradient.  On a general K both
-gradients come from ``spectral._perron_roots``; where it gives none, at
-eigenvalues tied within 1e-8 that the eigensolver does not keep apart or
-a top root whose left vector fails from both the inverse and the
+overshoots the kinks.  The anti side keeps the whole-matrix gradient, one
+formula from one ``eigh`` on a symmetrizable K (at a tied top eigenvalue
+the top eigenvector's element of the generalized gradient) and the top
+atom row on a general K.  Where ``spectral._perron_roots`` gives no row,
+at eigenvalues tied within 1e-8 that the eigensolver does not keep apart
+or a top root whose left vector fails from both the inverse and the
 transpose, central finite differences stand in.
 Every Armijo ladder stops before a trial whose required decrease is below
 the rounding of R_e.
@@ -238,11 +238,11 @@ def _pgd(model, project, x0, maximize, max_iter=PGD_ITERATION_CAP,
     ``_atom_gradients`` (``project`` is then a ``_Halfspace``): the
     minimum-norm point of the hull of the gradients of the radii within
     1e-3 of R_e, which lowers the tied radii together where one gradient
-    would zigzag across the kink.  On a symmetrizable K, ``re_gradient``
-    answers at a tied top eigenvalue too.  Where either raises ``NonSimple``
-    or ``NonConvergence`` (on a general K, from ``spectral._perron_roots``),
-    the gradient comes from central finite differences, for good after two
-    failures; a zero radius ends the run.
+    would zigzag across the kink.  ``re_gradient`` answers at a tied top of
+    a symmetrizable K; on a general K it is the top ``_atom_gradients`` row.
+    Where either raises ``NonSimple`` or ``NonConvergence`` (on a general K
+    only), the gradient comes from central finite differences, for good
+    after two failures; a zero radius ends the run.
 
     The first Armijo trial is 4 times the last accepted step.  Where K has at
     most one atom (``single_atom``), R_e is one Perron root, smooth away from

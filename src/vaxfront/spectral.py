@@ -11,10 +11,12 @@ Three routes are kept deliberately:
   solver take it with ``eigvalsh``, backward stable and several times
   cheaper than general QR (above ``_DENSE_CUTOFF`` groups ``spectral_radius``
   of S, told that S is symmetric by construction); ``dominant_pair`` maps
-  one ``eigh`` of S to the Perron pair through D^(1/2).  ``re_gradient``
-  takes the same one ``eigh``; where the top eigenvalue is tied, as on the
-  cycles, there is no Perron pair, and it returns the top eigenvector's
-  element of the generalized gradient instead of raising ``NonSimple``.
+  one ``eigh`` of S to the Perron pair through D^(1/2), raising
+  ``NonSimple`` at a tied top.  ``re_gradient`` returns
+  (M (sqrt(eta) * u))^2 / lam from the same ``eigh``'s top pair (lam, u),
+  and never raises ``NonSimple``: this is the Perron gradient at a simple
+  top, and at a tied one, as on the cycles, the top eigenvector's element
+  of the generalized gradient.
   A one-group model, whose radius is its exact entry K00 * eta0, and a
   kernel balanced only to the 1e-8 of ``symmetrize`` take the general route.
 * ``spectral_radius`` condenses the support digraph into its strongly
@@ -31,9 +33,11 @@ Three routes are kept deliberately:
   the loop early for the dense eigensolver.
 * Every other model, the general route, takes dense QR (LAPACK via
   ``numpy.linalg.eigvals``) in ``_dense_radius`` up to ``_DENSE_CUTOFF``
-  groups, and ``spectral_radius`` above it.  ``dominant_pair``,
-  ``re_gradient`` and the solver's atom gradients take their roots from one
-  ``eig`` in ``_perron_roots``, and raise ``NonSimple`` at a tied top.
+  groups, and ``spectral_radius`` above it.  ``dominant_pair`` (which
+  raises ``NonSimple`` at a tied top) and the solver's atom gradients take
+  their roots from one ``eig`` in ``_perron_roots``; ``re_gradient`` is the
+  top atom row, and raises ``NonSimple`` only at ties the rows cannot keep
+  apart.
   ``full_spectrum`` runs the same QR for all N eigenvalues and their
   clusters; it is the spectrum behind ``inertia`` and the cross-check
   oracle in the criteria and the tests.
@@ -338,19 +342,16 @@ class EigenPair:
     left: np.ndarray
 
 
-def _symmetric_top(m: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray, bool]:
-    """Top eigenvalue lam and unit eigenvector u of S = diag(r) M diag(r),
-    r = sqrt(x), from one ``eigh``, and whether lam is simple within the
-    1e-8 gap threshold."""
+def _symmetric_top(m: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues, ascending, of S = diag(r) M diag(r), r = sqrt(x), and
+    the unit eigenvector u of the top one, from one ``eigh``."""
     try:
         values, vectors = np.linalg.eigh(_symmetrized(m, x))
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"symmetric eigendecomposition failed: {exc}") from exc
-    lam = float(values[-1])
-    if lam <= 0.0:
+    if values[-1] <= 0.0:
         raise ZeroRadius("effective matrix is quasi-nilpotent")
-    simple = int((np.abs(values - lam) <= SIMPLE_GAP_TOL * lam).sum()) == 1
-    return lam, vectors[:, -1], simple
+    return values, vectors[:, -1]
 
 
 def _symmetric_pair(model: MetapopModel, m: np.ndarray, x: np.ndarray,
@@ -448,14 +449,6 @@ def _perron_roots(k: np.ndarray, x: np.ndarray, window: float):
     return rho, lams, v, phi, np.maximum(grads, 0.0, out=grads), kept
 
 
-def _simple_root(k: np.ndarray, x: np.ndarray):
-    """``_perron_roots`` in the 1e-8 gap threshold, which holds rho alone."""
-    roots = _perron_roots(k, x, SIMPLE_GAP_TOL)
-    if len(roots[1]) > 1:
-        raise NonSimple("dominant eigenvalue is not simple within the 1e-8 gap threshold")
-    return roots
-
-
 def _checked_pair(effective, lam, v, phi) -> EigenPair | None:
     """The ``EigenPair`` of the right vector v and left vector phi of
     ``effective`` at lam, or None unless each is of one sign, they overlap
@@ -493,11 +486,14 @@ def dominant_pair(model: MetapopModel, eta: Strategy) -> EigenPair:
     x = model._values(eta)
     m = _route(model)
     if m is not None:
-        lam, u, simple = _symmetric_top(m, x)
-        if not simple:
+        values, u = _symmetric_top(m, x)
+        lam = float(values[-1])
+        if (np.abs(values - lam) <= SIMPLE_GAP_TOL * lam).sum() > 1:
             raise NonSimple("dominant eigenvalue is not simple within the 1e-8 gap threshold")
         return _symmetric_pair(model, m, x, lam, u)
-    _, lams, v, phi, _, _ = _simple_root(model.matrix, x)
+    _, lams, v, phi, _, _ = _perron_roots(model.matrix, x, SIMPLE_GAP_TOL)
+    if len(lams) > 1:
+        raise NonSimple("dominant eigenvalue is not simple within the 1e-8 gap threshold")
     effective = model.matrix * x
     lam = float(lams[0].real)
     pair = (_checked_pair(effective, lam, v[0], phi[0])
@@ -541,23 +537,22 @@ def re_gradient(model: MetapopModel, eta: Strategy) -> np.ndarray:
     Differentiating K diag(eta) v = lambda v for a simple lambda gives
     d lambda / d eta_j = (K^T phi)_j v_j / <phi, v>.
 
-    A model on the symmetric route takes one ``eigh`` of
-    S = diag(r) M diag(r), r = sqrt(eta).  Where its top eigenvalue lam is
-    tied within the 1e-8 gap threshold, R_e is not differentiable; the
-    generalized gradient is {lam diag(U Z U^T) / eta : Z >= 0, tr Z = 1} for
-    the cluster's basis U (Overton 1992; Lewis and Overton 1996), and the
-    element of the top eigenvector u that ``eigh`` returns is
-    (M (r * u))^2 / lam, since r_j (M (r * u))_j = lam u_j: nonnegative,
-    with eta . g = lam, and finite at eta_j = 0.  Every other model takes
-    rho's gradient row from ``_perron_roots`` and raises ``NonSimple`` there,
-    as ``dominant_pair`` does.
+    A model on the symmetric route returns (M phi)^2 / lam, phi = r * u,
+    for the top eigenpair (lam, u) of one ``eigh`` of S = diag(r) M diag(r),
+    r = sqrt(eta).  At a simple lam that is the formula above, with left
+    vector sqrt(d) * phi, right vector (M phi) / sqrt(d) and phi^T M phi =
+    lam.  At a lam tied within the 1e-8 gap threshold, as on the cycles, it
+    is u's element lam u^2 / eta (as M phi = lam u / r) of the generalized
+    gradient {lam diag(U Z U^T) / eta : Z >= 0, tr Z = 1} for the cluster's
+    basis U (Overton 1992; Lewis and Overton 1996): nonnegative, with
+    eta . g = lam, and finite at eta_j = 0.  It never raises ``NonSimple``.
+
+    Every other model returns the top row of ``_atom_gradients`` and raises
+    as that does: ``NonSimple`` only at ties its rows cannot keep apart.
     """
     x = model._values(eta)
     m = _route(model)
     if m is None:
-        return _simple_root(model.matrix, x)[4][0]
-    lam, u, simple = _symmetric_top(m, x)
-    if not simple:
-        return (m @ (np.sqrt(x) * u)) ** 2 / lam
-    pair = _symmetric_pair(model, m, x, lam, u)
-    return (model.matrix.T @ pair.left) * pair.right
+        return _atom_gradients(model, x)[0]
+    values, u = _symmetric_top(m, x)
+    return (m @ (np.sqrt(x) * u)) ** 2 / values[-1]

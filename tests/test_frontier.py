@@ -18,6 +18,7 @@ from vaxfront import (
     assemble_reducible,
     c_max,
     cost,
+    dominant_pair,
     effective_re,
     effective_re_batch,
     feasible_region_sample,
@@ -741,6 +742,10 @@ class TestTiedAtoms:
             want = np.zeros(4)
             want[list(atom)] = re_gradient(sub, Strategy(x[list(atom)]))
             np.testing.assert_allclose(grad, want, rtol=0, atol=1e-10)
+        # The whole-matrix gradient is the top atom's row; there is no pair.
+        np.testing.assert_array_equal(re_gradient(model, Strategy(x)), grads[0])
+        with pytest.raises(NonSimple):
+            dominant_pair(model, Strategy(x))
 
     def test_direction_has_minimal_norm(self):
         model, x, feasible = self._tied_point()

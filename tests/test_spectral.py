@@ -373,10 +373,48 @@ def _tied_top_cases():
             (MetapopModel(np.array([0.5, 0.5]), np.eye(2)), np.ones(2))]
 
 
+def _simple_top_cases():
+    """Simple top eigenvalues on the symmetric route: the 12-cycle at seeded
+    interior strategies, three ``random_convex_model`` draws and a kernel
+    that is symmetrizable, by d = (1, 0.5, 0.25), but not symmetric."""
+    rng = np.random.default_rng(181)
+    cases = [(fixtures.cycle_model(12), 0.1 + 0.9 * rng.random(12)) for _ in range(3)]
+    for n in (4, 8, 12):
+        cases.append((random_convex_model(rng, n), 0.1 + 0.9 * rng.random(n)))
+    k = np.array([[1.0, 2.0, 0.5], [4.0, 3.0, 1.0], [2.0, 2.0, 2.0]])
+    cases.append((MetapopModel(np.full(3, 1.0 / 3.0), k), np.array([0.9, 0.4, 0.7])))
+    return cases
+
+
 class TestTiedTopGradient:
-    """At a top eigenvalue tied within 1e-8 on the symmetric route,
-    ``re_gradient`` returns the top eigenvector's element of the generalized
-    gradient, from the one ``eigh``."""
+    """On the symmetric route ``re_gradient`` is one formula from one
+    ``eigh``: at a top eigenvalue tied within 1e-8 the top eigenvector's
+    element of the generalized gradient, at a simple one the Perron pair's
+    gradient."""
+
+    @pytest.mark.parametrize("case", range(7), ids=[
+        "cycle12-a", "cycle12-b", "cycle12-c", "convex4", "convex8", "convex12",
+        "balanced3"])
+    def test_simple_top_is_the_pair_gradient(self, monkeypatch, case):
+        model, eta = _simple_top_cases()[case]
+        pair = dominant_pair(model, Strategy(eta))  # a simple top; derives the balance
+        want = (model.matrix.T @ pair.left) * pair.right
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("general eigensolver or Perron pair called")
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        monkeypatch.setattr(spectral, "_symmetric_pair", refuse)
+        grad = re_gradient(model, Strategy(eta))
+        assert len(calls) == 1
+        np.testing.assert_allclose(grad, want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("case", [0, 1], ids=["cycle12-two-paths", "eye2"])
     def test_element_of_the_generalized_gradient(self, monkeypatch, case):

@@ -21,7 +21,9 @@ is removed at the end; set ``TMPDIR`` to choose where it goes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import multiprocessing
 import os
 import platform
 import shutil
@@ -33,6 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
+ROUNDING = 1e-12
 
 
 def git(*args: str) -> str:
@@ -41,12 +44,51 @@ def git(*args: str) -> str:
     ).stdout.strip()
 
 
-def extract(rev: str, into: Path) -> None:
-    """The committed files of ``rev`` under ``into``."""
-    archive = subprocess.run(
-        ["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True
-    ).stdout
-    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+@contextlib.contextmanager
+def checkout(sha: str):
+    """The committed files of ``sha`` (``git archive``) in a temporary
+    directory outside the repository, removed on exit."""
+    into = Path(tempfile.mkdtemp(prefix="bench-pair-"))
+    try:
+        archive = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT,
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+        yield into
+    finally:
+        shutil.rmtree(into, ignore_errors=True)
+
+
+def run_sides(sha: str, work, *args) -> dict:
+    """{side: work(root, *args)} with root the committed files of ``sha``
+    for ``base`` and the working tree for ``change``.  The two run at once,
+    each in a fresh process of a ``spawn`` pool, so that each imports
+    vaxfront from its own tree."""
+    with checkout(sha) as base_dir, multiprocessing.get_context("spawn").Pool(
+        2, maxtasksperchild=1
+    ) as pool:
+        pending = {side: pool.apply_async(work, (str(root), *args))
+                   for side, root in zip(SIDES, (base_dir, ROOT))}
+        return {side: result.get() for side, result in pending.items()}
+
+
+def header(rev: str, sha: str) -> dict:
+    """The ``base`` and ``change`` entries that open an output file."""
+    return {"base": {"rev": rev, "commit": sha},
+            "change": {"tree": "working tree", "head": git("rev-parse", "HEAD"),
+                       "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}}
+
+
+def judge(kind: str, old: tuple, new: tuple) -> tuple[float, str]:
+    """The gain of a frontier point that went from ``old`` to ``new``, each
+    (cost, loss), towards its curve's objective (lower loss on the
+    ``pareto`` side, higher on the anti side), and its verdict: same where
+    the point did not move, rounding within ``ROUNDING`` relative, better
+    or worse."""
+    gain = (1.0 if kind == "pareto" else -1.0) * (old[1] - new[1])
+    verdict = ("same" if old == new
+               else "rounding" if abs(gain) <= ROUNDING * max(1.0, abs(old[1]))
+               else "better" if gain > 0 else "worse")
+    return gain, verdict
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -111,18 +153,14 @@ def main(argv=None) -> int:
     seeds = [int(s) for s in args.seeds.split(",")]
     base_sha = git("rev-parse", args.rev)
     document = {
-        "base": {"rev": args.rev, "commit": base_sha},
-        "change": {"tree": "working tree", "head": git("rev-parse", "HEAD"),
-                   "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))},
+        **header(args.rev, base_sha),
         "command": "python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {args.seconds:g} --trace 0",
         "machine": {"python": platform.python_version(), "cpus": os.cpu_count(),
                     "platform": platform.platform()},
         "workloads": {},
     }
-    base_dir = Path(tempfile.mkdtemp(prefix="bench-pair-"))
-    try:
-        extract(base_sha, base_dir)
+    with checkout(base_sha) as base_dir:
         roots = {"base": base_dir, "change": ROOT}
         for workload in workloads:
             pairs = []
@@ -137,8 +175,6 @@ def main(argv=None) -> int:
             document["workloads"][workload] = {
                 "pairs": pairs, **summarize(pairs, bench["end_to_end"])
             }
-    finally:
-        shutil.rmtree(base_dir, ignore_errors=True)
     Path(args.out).write_text(json.dumps(document, indent=1) + "\n")
     return 0
 

@@ -3,10 +3,10 @@
     python3 tools/output_diff.py REV --seeds 101,102,103 --out OUTPUTS_<N>.json
 
 Runs every operation of every workload in ``perfbench/workloads.py`` once
-per seed, on the committed files of REV (extracted as ``bench_pair.py``
-does) and on the working tree.  The two sides run at once, each in a
-fresh process that imports vaxfront and the workloads from its own tree,
-with one BLAS thread as in ``perfbench/run.py``.  An operation's output is
+per seed, on the committed files of REV and on the working tree.  The two
+sides run at once through ``bench_pair.run_sides``, each in a fresh
+process that imports vaxfront and the workloads from its own tree, with
+one BLAS thread as in ``perfbench/run.py``.  An operation's output is
 the JSON summary the benchmark checks byte for byte from round to round.
 
 The output file records, per operation, whether the two summaries are
@@ -15,7 +15,7 @@ entry that differs.  For a moved frontier output (a Pareto or anti-Pareto
 sweep, or an assembly's two curves) it also lists every moved point: its
 cost, old and new loss, and the gain towards the curve's objective (lower
 loss on the Pareto side, higher on the anti side), judged better, worse, or
-rounding within ``ROUNDING`` relative.  A ``frontier`` section counts these
+rounding within ``ROUNDING`` relative by ``bench_pair.judge``.  A ``frontier`` section counts these
 per workload and names the largest worsening.
 """
 
@@ -29,14 +29,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import importlib  # noqa: E402
 import json  # noqa: E402
-import multiprocessing  # noqa: E402
-import shutil  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_pair import ROOT, extract, git  # noqa: E402
+from bench_pair import ROOT, git, header, judge, run_sides  # noqa: E402
 
 
 def side_outputs(root: str, seeds: list[int]) -> dict[str, str]:
@@ -78,9 +76,6 @@ def moved(old, new, path: str = ""):
         yield {"path": path or "/", "base": old, "change": new}
 
 
-ROUNDING = 1e-12
-
-
 def _workloads():
     """This tree's ``perfbench/workloads.py``, imported on first use: the
     processes of ``side_outputs`` must each import their own tree's."""
@@ -116,13 +111,10 @@ def moved_points(kind: str, old: list, new: list):
     else:
         by_cost = {round(c, 12): (c, loss) for c, loss in new}
         pairs = [(p, by_cost[round(p[0], 12)]) for p in old if round(p[0], 12) in by_cost]
-    sign = 1.0 if kind == "pareto" else -1.0
     for (c0, l0), (c1, l1) in pairs:
-        if (c0, l0) == (c1, l1):
+        gain, verdict = judge(kind, (c0, l0), (c1, l1))
+        if verdict == "same":
             continue
-        gain = sign * (l0 - l1)
-        verdict = ("rounding" if abs(gain) <= ROUNDING * max(1.0, abs(l0))
-                   else "better" if gain > 0 else "worse")
         point = {"kind": kind, "cost": c0, "base_loss": l0, "change_loss": l1,
                  "gain": gain, "verdict": verdict}
         if c1 != c0:
@@ -168,16 +160,7 @@ def main(argv=None) -> int:
 
     seeds = [int(s) for s in args.seeds.split(",")]
     base_sha = git("rev-parse", args.rev)
-    context = multiprocessing.get_context("spawn")
-    base_dir = Path(tempfile.mkdtemp(prefix="output-diff-"))
-    try:
-        extract(base_sha, base_dir)
-        with context.Pool(2, maxtasksperchild=1) as pool:
-            pending = {side: pool.apply_async(side_outputs, (str(root), seeds))
-                       for side, root in (("base", base_dir), ("change", ROOT))}
-            sides = {side: result.get() for side, result in pending.items()}
-    finally:
-        shutil.rmtree(base_dir, ignore_errors=True)
+    sides = run_sides(base_sha, side_outputs, seeds)
 
     outputs = {}
     for key in sorted(sides["base"].keys() | sides["change"].keys()):
@@ -196,9 +179,7 @@ def main(argv=None) -> int:
             if base_curves or change_curves:
                 outputs[key]["frontier_points"] = points
     document = {
-        "base": {"rev": args.rev, "commit": base_sha},
-        "change": {"tree": "working tree", "head": git("rev-parse", "HEAD"),
-                   "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))},
+        **header(args.rev, base_sha),
         "seeds": seeds,
         "operations": len(outputs),
         "identical": sum(entry["identical"] for entry in outputs.values()),

@@ -12,16 +12,16 @@ symmetrizable but not symmetric; and six seeded
 ``acceptance.random_block_upper_model`` draws of several atoms, whose
 minimizing solves step along tied atom radii.  Each model is swept
 on both sides, ``pareto_frontier`` and ``anti_pareto_frontier``, with
-uniform costs and the default effort.  REV's committed files are extracted
-as ``bench_pair.py`` does; the two sides run at once, each in a fresh
-process that imports vaxfront from its own tree, with one BLAS thread.
+uniform costs and the default effort.  The two sides run at once through
+``bench_pair.run_sides``, each in a fresh process that imports vaxfront
+from its own tree, with one BLAS thread.
 
 Per point it reports the cost, the old and new loss, the signed gain
 towards the curve's objective (lower loss on the Pareto side, higher on the
-anti side) and, old and new, the calls that the solve of that budget made in
-the projected-gradient loop: R_e evaluations, eigenvector gradients (whole
-matrix or per tied atom) and finite-difference gradients.  Endpoints have no
-solve.  Points pair by cost.
+anti side) with its verdict (``bench_pair.judge``) and, old and new, the
+calls that the solve of that budget made in the projected-gradient loop:
+R_e evaluations, eigenvector gradients (whole matrix or per tied atom) and
+finite-difference gradients.  Endpoints have no solve.  Points pair by cost.
 A summary per side follows: moved points by verdict, the largest worsening,
 the total calls, the summed area under the curves, and each model whose
 sweep makes finite-difference gradients on either side, with the count on
@@ -39,16 +39,13 @@ import argparse  # noqa: E402
 import importlib  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
-import multiprocessing  # noqa: E402
-import shutil  # noqa: E402
 import sys  # noqa: E402
-import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_pair import ROOT, extract, git  # noqa: E402
+from bench_pair import git, header, judge, run_sides  # noqa: E402
 
 CYCLES = (8, 16, 20, 24, 30)
 DRAW_SIZES = (4, 5, 6, 8, 9, 10)
@@ -56,7 +53,6 @@ CONVEX_SIZES = (4, 8, 12)
 BLOCK_DRAWS = 6
 DRAW_DENSITY = 0.5
 PANEL_SEED = 2110_12693
-ROUNDING = 1e-12
 # The solver's calls, looked up by ``_pgd`` in the frontier module; a name
 # that a revision does not have is not counted there.
 COUNTED = {
@@ -156,10 +152,8 @@ def compare(base: list[dict], change: list[dict]) -> dict:
         p = new.get(key(old))
         if p is None:
             continue
-        gain = (1.0 if old["kind"] == "pareto" else -1.0) * (old["loss"] - p["loss"])
-        verdict = ("same" if old["loss"] == p["loss"]
-                   else "rounding" if abs(gain) <= ROUNDING * max(1.0, abs(old["loss"]))
-                   else "better" if gain > 0 else "worse")
+        gain, verdict = judge(old["kind"], (old["cost"], old["loss"]),
+                              (p["cost"], p["loss"]))
         rows.append({"model": old["model"], "kind": old["kind"], "cost": old["cost"],
                      "base_loss": old["loss"], "change_loss": p["loss"], "gain": gain,
                      "verdict": verdict,
@@ -225,22 +219,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     base_sha = git("rev-parse", args.rev)
-    context = multiprocessing.get_context("spawn")
-    base_dir = Path(tempfile.mkdtemp(prefix="solver-panel-"))
-    try:
-        extract(base_sha, base_dir)
-        with context.Pool(2, maxtasksperchild=1) as pool:
-            pending = {side: pool.apply_async(side_points, (str(root), args.resolution))
-                       for side, root in (("base", base_dir), ("change", ROOT))}
-            sides = {side: result.get() for side, result in pending.items()}
-    finally:
-        shutil.rmtree(base_dir, ignore_errors=True)
+    sides = run_sides(base_sha, side_points, args.resolution)
     result = compare(sides["base"], sides["change"])
     print(report(result))
     if args.out:
-        document = {"base": {"rev": args.rev, "commit": base_sha},
-                    "change": {"tree": "working tree", "head": git("rev-parse", "HEAD")},
-                    "resolution": args.resolution, **result}
+        document = {**header(args.rev, base_sha), "resolution": args.resolution,
+                    **result}
         Path(args.out).write_text(json.dumps(document, indent=1) + "\n")
     return 0
 
