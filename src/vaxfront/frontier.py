@@ -65,7 +65,7 @@ from .independent import eradication_cost
 from .model import CostFunction, MetapopModel, Strategy, _check_int, _is_int, c_max, cost
 from .spectral import (
     _atom_gradients,
-    _matrix_re,
+    _re_with_eig,
     effective_re,
     effective_re_batch,
     re_gradient,
@@ -240,9 +240,13 @@ def _pgd(model, project, x0, maximize, max_iter=PGD_ITERATION_CAP,
     1e-3 of R_e, which lowers the tied radii together where one gradient
     would zigzag across the kink.  ``re_gradient`` answers at a tied top of
     a symmetrizable K; on a general K it is the top ``_atom_gradients`` row.
-    Where either raises ``NonSimple`` or ``NonConvergence`` (on a general K
-    only), the gradient comes from central finite differences, for good
-    after two failures; a zero radius ends the run.
+    On a general K of at most ``spectral._DENSE_CUTOFF`` groups each visited
+    point, the start and every Armijo trial, is solved once: one ``eig`` of
+    K diag(x) gives R_e (``_re_with_eig``), and the gradient at an accepted
+    point reuses it in ``_atom_gradients``.  Where either gradient raises
+    ``NonSimple`` or ``NonConvergence`` (on a general K only), the gradient
+    comes from central finite differences, for good after two failures; a
+    zero radius ends the run.
 
     The first Armijo trial is 4 times the last accepted step.  Where K has at
     most one atom (``single_atom``), R_e is one Perron root, smooth away from
@@ -264,7 +268,7 @@ def _pgd(model, project, x0, maximize, max_iter=PGD_ITERATION_CAP,
     """
     sign = -1.0 if maximize else 1.0
     x = project(x0)
-    fx = _matrix_re(model, x)
+    fx, solved = _re_with_eig(model, x)
     fallback_hits = 0
     window: list[float] = []
     last_step = None
@@ -275,10 +279,12 @@ def _pgd(model, project, x0, maximize, max_iter=PGD_ITERATION_CAP,
             grad = _fd_gradient(model, x)
         else:
             try:
-                if single_atom or maximize:
+                if solved is None and (single_atom or maximize):
                     grad = re_gradient(model, Strategy(x))
                 else:
-                    grad = _hull_direction(_atom_gradients(model, x), x, project)
+                    rows = _atom_gradients(model, x, solved)
+                    grad = (rows[0] if single_atom or maximize
+                            else _hull_direction(rows, x, project))
             except ZeroRadius:
                 break
             except (NonSimple, NonConvergence):
@@ -311,9 +317,9 @@ def _pgd(model, project, x0, maximize, max_iter=PGD_ITERATION_CAP,
                 slope = float(g @ delta)
                 if ARMIJO_DECREASE * abs(slope) <= floor:
                     break
-                fc = _matrix_re(model, candidate)
+                fc, solved_c = _re_with_eig(model, candidate)
                 if sign * (fc - fx) <= ARMIJO_DECREASE * slope:
-                    x, fx = candidate, fc
+                    x, fx, solved = candidate, fc, solved_c
                     improved = True
                     last_step = step
                     break
@@ -396,9 +402,12 @@ def _single_atom(model: MetapopModel) -> bool:
 
 def _min_starts(n: int, project, count: int = MULTISTARTS) -> list[np.ndarray]:
     """The centre, all-ones and all-zeros starts, then seeded random ones."""
-    rng = np.random.default_rng(_STARTS_SEED)
     fixed = (np.full(n, 0.5), np.ones(n), np.zeros(n))
-    return [project(fixed[k] if k < 3 else rng.random(n)) for k in range(count)]
+    starts = [project(start) for start in fixed[:count]]
+    if count > 3:
+        rng = np.random.default_rng(_STARTS_SEED)
+        starts += [project(rng.random(n)) for _ in range(count - 3)]
+    return starts
 
 
 def _budget(model: MetapopModel, cost_fn: CostFunction, c: float):

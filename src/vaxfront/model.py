@@ -223,8 +223,9 @@ class Strategy:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size == 0:
             raise ValidationError("strategy must be a non-empty vector")
-        _check_finite(v, "strategy")
-        if (v < 0).any() or (v > 1).any():
+        # NaN and infinities fail the range test too; only then is it asked why.
+        if not (v.min() >= 0.0 and v.max() <= 1.0):
+            _check_finite(v, "strategy")
             raise ValidationError("strategy entries must lie in [0, 1]")
         object.__setattr__(self, "values", _as_readonly(v))
 

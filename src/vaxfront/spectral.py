@@ -35,9 +35,11 @@ Three routes are kept deliberately:
   ``numpy.linalg.eigvals``) in ``_dense_radius`` up to ``_DENSE_CUTOFF``
   groups, and ``spectral_radius`` above it.  ``dominant_pair`` (which
   raises ``NonSimple`` at a tied top) and the solver's atom gradients take
-  their roots from one ``eig`` in ``_perron_roots``; ``re_gradient`` is the
-  top atom row, and raises ``NonSimple`` only at ties the rows cannot keep
-  apart.
+  their roots from one ``eig`` in ``_perron_roots``, or from the ``eig`` its
+  caller hands it: the solver takes R_e at every point it visits from that
+  ``eig`` (``_re_with_eig``, the same radius as QR's) and its gradient
+  there from the same solve.  ``re_gradient`` is the top atom row, and
+  raises ``NonSimple`` only at ties the rows cannot keep apart.
   ``full_spectrum`` runs the same QR for all N eigenvalues and their
   clusters; it is the spectrum behind ``inertia`` and the cross-check
   oracle in the criteria and the tests.
@@ -405,11 +407,41 @@ def _perron_rows(k, x, lams, v, phi):
     return grads, kept
 
 
-def _perron_roots(k: np.ndarray, x: np.ndarray, window: float):
+def _eig(effective: np.ndarray):
+    """(rho, eigenvalues, right eigenvector matrix) of ``effective`` from
+    one ``eig``; rho is the largest modulus, as ``_dense_radius`` takes it."""
+    try:
+        values, vectors = np.linalg.eig(effective)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"eigendecomposition failed: {exc}") from exc
+    return float(np.abs(values).max()), values, vectors
+
+
+def _re_with_eig(model: MetapopModel, x: np.ndarray):
+    """R_e at the strategy values ``x`` for the solver, which evaluates every
+    point it visits here, and the solve behind it for ``_perron_roots``.
+
+    On the general route up to ``_DENSE_CUTOFF`` groups that is one ``eig``
+    of K . diag(x), whose (rho, values, vectors) the gradient at x reuses:
+    its rho is ``_matrix_re``'s float, as LAPACK's ``dgeev`` balances,
+    reduces and sweeps the active block alike with or without vectors.
+    Elsewhere it is ``_matrix_re`` and None.
+    """
+    if model.n <= _DENSE_CUTOFF and _route(model) is None:
+        solved = _eig(model.matrix * x)
+        return solved[0], solved
+    return _matrix_re(model, x), None
+
+
+def _perron_roots(k: np.ndarray, x: np.ndarray, window: float, solved=None):
     """The roots of K . diag(x) within ``window`` rho of its spectral radius
     rho, the largest first, from one ``eig``: (rho, their eigenvalues, right
     vectors v and left vectors phi as rows, their ``_perron_rows`` gradients
     clipped at zero, and which of them pass for Perron roots).
+
+    A caller that has already solved K . diag(x), as the solver has at every
+    point it visits (``_re_with_eig``), hands that ``_eig`` over as
+    ``solved``, and no ``eig`` of its own is made.
 
     The left vectors are the roots' rows of the inverse eigenvector matrix.
     A defective eigenvalue elsewhere, such as the zero cluster of a strategy
@@ -421,12 +453,7 @@ def _perron_roots(k: np.ndarray, x: np.ndarray, window: float):
     no eigenvalue (one of largest modulus is complex or defective), and
     ``NonConvergence`` when a solve fails or rho's root does not pass.
     """
-    effective = k * x
-    try:
-        values, vectors = np.linalg.eig(effective)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"eigendecomposition failed: {exc}") from exc
-    rho = float(np.abs(values).max())
+    rho, values, vectors = solved if solved is not None else _eig(k * x)
     if rho <= 0.0:
         raise ZeroRadius("effective matrix is quasi-nilpotent")
     near = np.flatnonzero(np.abs(values - rho) <= window * rho)
@@ -442,7 +469,7 @@ def _perron_roots(k: np.ndarray, x: np.ndarray, window: float):
     except np.linalg.LinAlgError:
         kept = None
     if kept is None or not kept[0]:
-        phi = _left_rows(effective, lams)
+        phi = _left_rows(k * x, lams)
         grads, kept = _perron_rows(k, x, lams, v, phi)
         if not kept[0]:
             raise NonConvergence("the dominant eigenvalue gives no Perron gradient")
@@ -503,9 +530,10 @@ def dominant_pair(model: MetapopModel, eta: Strategy) -> EigenPair:
     return pair
 
 
-def _atom_gradients(model: MetapopModel, x: np.ndarray) -> np.ndarray:
+def _atom_gradients(model: MetapopModel, x: np.ndarray, solved=None) -> np.ndarray:
     """Gradients of the atom radii within ``TIE_WINDOW`` rho of rho, one row
-    each, the largest radius first, at the strategy values ``x``.
+    each, the largest radius first, at the strategy values ``x``, from the
+    ``_eig`` of K . diag(x) in ``solved`` where the caller has it.
 
     The roots of ``_perron_roots`` that pass for Perron roots are the atom
     radii: the gradient (K^T phi) * v / <phi, v> of one lives on its atom
@@ -517,7 +545,7 @@ def _atom_gradients(model: MetapopModel, x: np.ndarray) -> np.ndarray:
     both pass and their gradients share no group (two atoms whose radii tie
     exactly, as at a Pareto optimum, that the eigensolver kept apart).
     """
-    rho, lams, _, _, grads, kept = _perron_roots(model.matrix, x, TIE_WINDOW)
+    rho, lams, _, _, grads, kept = _perron_roots(model.matrix, x, TIE_WINDOW, solved)
     if len(lams) > 1:
         # Each eigenvalue is tied with itself; any other tie must be between
         # atoms whose pairs the eigensolver kept apart.

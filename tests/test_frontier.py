@@ -696,6 +696,49 @@ class TestStepRule:
         assert flags == {single_atom}
 
 
+    @pytest.mark.parametrize(
+        "model, sweep",
+        [(_two_atom_model(), pareto_frontier),
+         (random_model(np.random.default_rng(9), 5), pareto_frontier),
+         (random_model(np.random.default_rng(9), 5), anti_pareto_frontier)],
+        ids=["two-atoms", "one-atom", "one-atom-anti"],
+    )
+    def test_one_eig_per_visited_point(self, monkeypatch, model, sweep):
+        # On the general route every point a run visits is solved by one
+        # ``eig`` of K . diag(x), and the gradient there reuses it: no
+        # ``eigvals``, and no second solve of a point.
+        solves, visited, depth = [], [], []
+        re_with_eig, pgd = frontier._re_with_eig, frontier._pgd
+        for name in ("eig", "eigvals"):
+            solve = getattr(np.linalg, name)
+
+            def counted(a, _name=name, _solve=solve):
+                if depth:
+                    solves.append((_name, a.copy()))
+                return _solve(a)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+
+        def recorded(model, x):
+            visited.append(("eig", model.matrix * x))
+            return re_with_eig(model, x)
+
+        def run(*args, **kw):
+            depth.append(1)
+            try:
+                return pgd(*args, **kw)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(frontier, "_re_with_eig", recorded)
+        monkeypatch.setattr(frontier, "_pgd", run)
+        sweep(model, UNIFORM, **self.EFFORT)
+        assert len(visited) > 20
+        assert [name for name, _ in solves] == ["eig"] * len(visited)
+        for (_, solved), (_, expected) in zip(solves, visited):
+            np.testing.assert_array_equal(solved, expected)
+
+
 class TestTiedAtoms:
     """The minimizing step on several atoms: one gradient per atom whose
     radius is within ``TIE_WINDOW`` of R_e, and the minimum-norm point of
@@ -800,11 +843,11 @@ class TestTiedAtoms:
         _, start = frontier._pgd(model, project, x0, maximize=False, max_iter=500,
                                  window_tol=0.0)
         seen = {}
-        gradient, matrix_re = frontier.re_gradient, frontier._matrix_re
+        gradient, re_with_eig = frontier.re_gradient, frontier._re_with_eig
 
         def recorded_gradient(model, eta):
             seen["x"], seen["g"] = eta.values, gradient(model, eta)
-            seen["fx"] = matrix_re(model, eta.values)
+            seen["fx"] = re_with_eig(model, eta.values)[0]
             return seen["g"]
 
         slopes = []
@@ -814,10 +857,10 @@ class TestTiedAtoms:
                 slopes.append(float(seen["g"] @ (x - seen["x"])))
                 floor = 1e-15 * max(1.0, abs(seen["fx"]))
                 assert frontier.ARMIJO_DECREASE * abs(slopes[-1]) > floor
-            return matrix_re(model, x)
+            return re_with_eig(model, x)
 
         monkeypatch.setattr(frontier, "re_gradient", recorded_gradient)
-        monkeypatch.setattr(frontier, "_matrix_re", recorded_re)
+        monkeypatch.setattr(frontier, "_re_with_eig", recorded_re)
         frontier._pgd(model, project, start, maximize=False, max_iter=500, window_tol=0.0)
         assert slopes  # the ladders were tried
 

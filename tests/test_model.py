@@ -289,10 +289,13 @@ class TestStrategy:
         assert list(ind.values) == [1.0, 0.0, 1.0, 0.0]
 
     def test_range_validation(self):
-        with pytest.raises(ValidationError):
-            Strategy(np.array([0.5, 1.2]))
-        with pytest.raises(ValidationError):
-            Strategy(np.array([-0.1, 0.5]))
+        for values, message in (
+            ([0.5, 1.2], "must lie in"), ([-0.1, 0.5], "must lie in"),
+            ([0.5, math.nan], "NaN or infinite"), ([math.inf, 0.5], "NaN or infinite"),
+            ([0.5, -math.inf], "NaN or infinite"),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                Strategy(np.array(values))
 
     def test_immutable(self):
         eta = Strategy.ones(3)

@@ -602,6 +602,22 @@ class TestRouteAgreement:
             certified = spectral_radius(model.effective_matrix(eta))
             assert abs(fast - certified) <= 1e-11 * max(1.0, certified)
 
+    def test_solver_radius_is_effective_re_bit_for_bit(self):
+        # The solver takes R_e from ``eig`` so that the gradient can reuse
+        # the vectors; LAPACK gives the same radius as ``eigvals``.
+        rng = np.random.default_rng(23)
+        general = 0
+        for trial in range(240):
+            n = int(rng.integers(2, _DENSE_CUTOFF + 1))
+            model = random_model(rng, n, density=rng.uniform(0.1, 1.0))
+            x = rng.random(n)
+            if trial % 2:
+                x[rng.random(n) < 0.3] = 0.0
+            value, solved = spectral._re_with_eig(model, x)
+            general += solved is not None  # a sparse draw may be balanced
+            assert value == effective_re(model, Strategy(x))
+        assert general >= 200
+
 
 class _CountingMatrix(np.ndarray):
     """Counts the matrix-vector products of the power loop."""

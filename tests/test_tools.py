@@ -118,9 +118,9 @@ def failed_run():
     return {"correct": False, "failed": None, "metrics": {}, "error": "boom"}
 
 
-def _panel_point(kind, cost, loss, re=0, grad=0, fd=0, model="m"):
+def _panel_point(kind, cost, loss, re=0, grad=0, fd=0, eig=0, model="m"):
     return {"model": model, "kind": kind, "cost": cost, "loss": loss,
-            "re": re, "grad": grad, "fd": fd}
+            "re": re, "grad": grad, "fd": fd, "eig": eig}
 
 
 class TestSolverPanel:
@@ -132,16 +132,16 @@ class TestSolverPanel:
     def test_gains_verdicts_and_summary(self):
         base = [
             _panel_point("pareto", 0.0, 2.0),
-            _panel_point("pareto", 0.5, 1.0, re=10, grad=4),
-            _panel_point("pareto", 0.75, 0.5, re=8, grad=2, fd=1),
+            _panel_point("pareto", 0.5, 1.0, re=10, grad=4, eig=15),
+            _panel_point("pareto", 0.75, 0.5, re=8, grad=2, fd=1, eig=11),
             _panel_point("pareto", 1.0, 0.0),
             _panel_point("anti", 0.5, 1.5, re=6, grad=3),
             _panel_point("anti", 0.75, 1.25),
         ]
         change = [
             _panel_point("pareto", 0.0, 2.0),
-            _panel_point("pareto", 0.5, 0.9, re=5, grad=2),
-            _panel_point("pareto", 0.75, 0.5 + 1e-15, re=4, grad=2),
+            _panel_point("pareto", 0.5, 0.9, re=5, grad=2, eig=5),
+            _panel_point("pareto", 0.75, 0.5 + 1e-15, re=4, grad=2, eig=4),
             _panel_point("anti", 0.5, 1.25, re=3, grad=2),
             _panel_point("anti", 0.75, 1.25),
         ]
@@ -157,8 +157,12 @@ class TestSolverPanel:
         assert pareto["unpaired"] == 1 and anti["unpaired"] == 0
         assert pareto["largest_worsening"] is None
         assert anti["largest_worsening"]["cost"] == 0.5
-        assert pareto["base_calls"] == {"re": 18, "grad": 6, "fd": 1}
-        assert pareto["change_calls"] == {"re": 9, "grad": 4, "fd": 0}
+        assert pareto["base_calls"] == {"re": 18, "grad": 6, "fd": 1, "eig": 26}
+        assert pareto["change_calls"] == {"re": 9, "grad": 4, "fd": 0, "eig": 9}
+        rows = report(result).splitlines()
+        assert rows[0].endswith("| old R_e/grad/fd/eig | new R_e/grad/fd/eig |")
+        assert rows[3].endswith("| 10/4/0/15 | 5/2/0/5 |")
+        assert "; calls R_e/grad/fd/eig 18/6/1/26 -> 9/4/0/9; " in rows[-2]
 
     def test_summary_lists_models_with_finite_differences(self):
         base = [

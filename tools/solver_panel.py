@@ -19,9 +19,11 @@ from its own tree, with one BLAS thread.
 Per point it reports the cost, the old and new loss, the signed gain
 towards the curve's objective (lower loss on the Pareto side, higher on the
 anti side) with its verdict (``bench_pair.judge``) and, old and new, the
-calls that the solve of that budget made in the projected-gradient loop:
+calls that the solve of that budget made: in the projected-gradient loop,
 R_e evaluations, eigenvector gradients (whole matrix or per tied atom) and
-finite-difference gradients.  Endpoints have no solve.  Points pair by cost.
+finite-difference gradients, and in all, eigen-solves (calls of
+``np.linalg.eig``, ``eigvals``, ``eigh`` and ``eigvalsh``, a batched call
+counting once).  Endpoints have no solve.  Points pair by cost.
 A summary per side follows: moved points by verdict, the largest worsening,
 the total calls, the summed area under the curves, and each model whose
 sweep makes finite-difference gradients on either side, with the count on
@@ -53,12 +55,14 @@ CONVEX_SIZES = (4, 8, 12)
 BLOCK_DRAWS = 6
 DRAW_DENSITY = 0.5
 PANEL_SEED = 2110_12693
-# The solver's calls, looked up by ``_pgd`` in the frontier module; a name
-# that a revision does not have is not counted there.
+# The solver's calls, looked up by ``_pgd`` in the frontier module, and the
+# eigen-solves, looked up in ``np.linalg``; a name that a revision does not
+# have is not counted there.
 COUNTED = {
-    "re": ("_matrix_re",),
+    "re": ("_matrix_re", "_re_with_eig"),
     "grad": ("re_gradient", "_atom_gradients"),
     "fd": ("_fd_gradient",),
+    "eig": ("eig", "eigvals", "eigh", "eigvalsh"),
 }
 
 
@@ -95,8 +99,9 @@ def side_points(root: str, resolution: int) -> list[dict]:
     frontier = importlib.import_module("vaxfront.frontier")
     counts = dict.fromkeys(COUNTED, 0)
     for key, names in COUNTED.items():
+        module = np.linalg if key == "eig" else frontier
         for name in names:
-            original = getattr(frontier, name, None)
+            original = getattr(module, name, None)
             if original is None:
                 continue
 
@@ -104,7 +109,7 @@ def side_points(root: str, resolution: int) -> list[dict]:
                 counts[_key] += 1
                 return _original(*args, **kw)
 
-            setattr(frontier, name, counted)
+            setattr(module, name, counted)
     by_cost = {}
     sweep = frontier._sweep
 
@@ -187,7 +192,7 @@ def compare(base: list[dict], change: list[dict]) -> dict:
 
 def report(result: dict) -> str:
     lines = ["| model | side | cost | old loss | new loss | gain | verdict | "
-             "old R_e/grad/fd | new R_e/grad/fd |", "|---" * 9 + "|"]
+             "old R_e/grad/fd/eig | new R_e/grad/fd/eig |", "|---" * 9 + "|"]
     for r in result["points"]:
         old = "/".join(str(r[f"base_{k}"]) for k in COUNTED)
         new = "/".join(str(r[f"change_{k}"]) for k in COUNTED)
@@ -198,7 +203,7 @@ def report(result: dict) -> str:
         worst = s["largest_worsening"]
         lines.append(
             f"{kind}: {s['same']} same, {s['rounding']} rounding, {s['better']} better, "
-            f"{s['worse']} worse, {s['unpaired']} unpaired; calls R_e/grad/fd "
+            f"{s['worse']} worse, {s['unpaired']} unpaired; calls R_e/grad/fd/eig "
             f"{'/'.join(str(v) for v in s['base_calls'].values())} -> "
             f"{'/'.join(str(v) for v in s['change_calls'].values())}; area "
             f"{s['base_area']:.6f} -> {s['change_area']:.6f}; largest worsening "
