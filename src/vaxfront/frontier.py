@@ -84,6 +84,7 @@ RAY_TOL = 1e-6
 _FD_STEP = 1e-6
 _HULL_STEPS = 8  # Frank-Wolfe steps of ``_min_norm`` on three or more rows
 _ACTIVE_TOL = 1e-5  # a bound or budget this close to x is active in ``_hull_direction``
+_HULL_EIG_GROUPS = 12  # above this the several-atom descent's R_e trials skip eigenvectors
 _BATCH = 65536
 
 
@@ -243,9 +244,11 @@ def _pgd(model, project, x0, maximize, max_iter=PGD_ITERATION_CAP,
     On a general K of at most ``spectral._DENSE_CUTOFF`` groups each visited
     point, the start and every Armijo trial, is solved once: one ``eig`` of
     K diag(x) gives R_e (``_re_with_eig``), and the gradient at an accepted
-    point reuses it in ``_atom_gradients``.  Where either gradient raises
-    ``NonSimple`` or ``NonConvergence`` (on a general K only), the gradient
-    comes from central finite differences, for good after two failures; a
+    point reuses it in ``_atom_gradients``; the several-atom minimizing
+    side does so only up to ``_HULL_EIG_GROUPS`` groups.  Where either
+    gradient raises ``NonSimple`` or ``NonConvergence`` (on a general K
+    only), the gradient comes from central finite differences, for good
+    after two failures, and from then on R_e comes without eigenvectors; a
     zero radius ends the run.
 
     The first Armijo trial is 4 times the last accepted step.  Where K has at
@@ -268,7 +271,11 @@ def _pgd(model, project, x0, maximize, max_iter=PGD_ITERATION_CAP,
     """
     sign = -1.0 if maximize else 1.0
     x = project(x0)
-    fx, solved = _re_with_eig(model, x)
+    # Eigenvectors at every trial pay for the gradient's own eig only where
+    # trials per accepted point are few; the several-atom descent makes
+    # about 3.3, which lose from 16 groups on (see ``_re_with_eig``).
+    vectors = single_atom or maximize or model.n <= _HULL_EIG_GROUPS
+    fx, solved = _re_with_eig(model, x, vectors)
     fallback_hits = 0
     window: list[float] = []
     last_step = None
@@ -279,12 +286,11 @@ def _pgd(model, project, x0, maximize, max_iter=PGD_ITERATION_CAP,
             grad = _fd_gradient(model, x)
         else:
             try:
-                if solved is None and (single_atom or maximize):
-                    grad = re_gradient(model, Strategy(x))
+                if single_atom or maximize:
+                    grad = (re_gradient(model, Strategy(x)) if solved is None
+                            else _atom_gradients(model, x, solved)[0])
                 else:
-                    rows = _atom_gradients(model, x, solved)
-                    grad = (rows[0] if single_atom or maximize
-                            else _hull_direction(rows, x, project))
+                    grad = _hull_direction(_atom_gradients(model, x, solved), x, project)
             except ZeroRadius:
                 break
             except (NonSimple, NonConvergence):
@@ -317,7 +323,7 @@ def _pgd(model, project, x0, maximize, max_iter=PGD_ITERATION_CAP,
                 slope = float(g @ delta)
                 if ARMIJO_DECREASE * abs(slope) <= floor:
                     break
-                fc, solved_c = _re_with_eig(model, candidate)
+                fc, solved_c = _re_with_eig(model, candidate, vectors and fallback_hits < 2)
                 if sign * (fc - fx) <= ARMIJO_DECREASE * slope:
                     x, fx, solved = candidate, fc, solved_c
                     improved = True
@@ -403,11 +409,8 @@ def _single_atom(model: MetapopModel) -> bool:
 def _min_starts(n: int, project, count: int = MULTISTARTS) -> list[np.ndarray]:
     """The centre, all-ones and all-zeros starts, then seeded random ones."""
     fixed = (np.full(n, 0.5), np.ones(n), np.zeros(n))
-    starts = [project(start) for start in fixed[:count]]
-    if count > 3:
-        rng = np.random.default_rng(_STARTS_SEED)
-        starts += [project(rng.random(n)) for _ in range(count - 3)]
-    return starts
+    rng = np.random.default_rng(_STARTS_SEED) if count > 3 else None
+    return [project(fixed[k] if k < 3 else rng.random(n)) for k in range(count)]
 
 
 def _budget(model: MetapopModel, cost_fn: CostFunction, c: float):

@@ -38,8 +38,10 @@ Three routes are kept deliberately:
   their roots from one ``eig`` in ``_perron_roots``, or from the ``eig`` its
   caller hands it: the solver takes R_e at every point it visits from that
   ``eig`` (``_re_with_eig``, the same radius as QR's) and its gradient
-  there from the same solve.  ``re_gradient`` is the top atom row, and
-  raises ``NonSimple`` only at ties the rows cannot keep apart.
+  there from the same solve, except where the vectors would cost more than
+  the gradient's own ``eig`` (see ``_re_with_eig``).  ``re_gradient`` is
+  the top atom row, and raises ``NonSimple`` only at ties the rows cannot
+  keep apart.
   ``full_spectrum`` runs the same QR for all N eigenvalues and their
   clusters; it is the spectrum behind ``inertia`` and the cross-check
   oracle in the criteria and the tests.
@@ -271,6 +273,13 @@ def _symmetrized(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (r[..., :, None] * r[..., None, :]) * m
 
 
+def _dense_general(model: MetapopModel) -> bool:
+    """Whether R_e at every strategy is dense QR on K . diag(x): the general
+    route up to ``_DENSE_CUTOFF`` groups, the one rule behind both
+    ``_matrix_re`` and the solver's ``_re_with_eig``."""
+    return model.n <= _DENSE_CUTOFF and _route(model) is None
+
+
 def _matrix_re(model: MetapopModel, x: np.ndarray) -> float:
     """R_e at the strategy values ``x``: the one route choice of
     ``effective_re``, for callers such as the solver's inner loop.
@@ -281,16 +290,15 @@ def _matrix_re(model: MetapopModel, x: np.ndarray) -> float:
     route does not close within n steps; any other model to dense QR on
     K . diag(x), above the cutoff to ``spectral_radius``.
     """
+    if _dense_general(model):
+        return _dense_radius(model.matrix * x)
     m = _route(model)
     if m is not None:
         effective = _symmetrized(m, x)
         if model.n <= _DENSE_CUTOFF:
             return _symmetric_radius(effective)
         return spectral_radius(effective, symmetric=True)
-    effective = model.matrix * x
-    if model.n <= _DENSE_CUTOFF:
-        return _dense_radius(effective)
-    return spectral_radius(effective)
+    return spectral_radius(model.matrix * x)
 
 
 def effective_re(model: MetapopModel, eta: Strategy) -> float:
@@ -417,17 +425,29 @@ def _eig(effective: np.ndarray):
     return float(np.abs(values).max()), values, vectors
 
 
-def _re_with_eig(model: MetapopModel, x: np.ndarray):
+def _re_with_eig(model: MetapopModel, x: np.ndarray, vectors: bool):
     """R_e at the strategy values ``x`` for the solver, which evaluates every
     point it visits here, and the solve behind it for ``_perron_roots``.
 
-    On the general route up to ``_DENSE_CUTOFF`` groups that is one ``eig``
-    of K . diag(x), whose (rho, values, vectors) the gradient at x reuses:
-    its rho is ``_matrix_re``'s float, as LAPACK's ``dgeev`` balances,
-    reduces and sweeps the active block alike with or without vectors.
-    Elsewhere it is ``_matrix_re`` and None.
+    Where ``_dense_general`` holds and the caller asks for ``vectors`` (it
+    will take an eigen-gradient at x if it accepts x), that is one ``eig``
+    of K . diag(x), whose (rho, values, vectors) the gradient reuses: its
+    rho is ``_matrix_re``'s float, as LAPACK's ``dgeev`` balances, reduces
+    and sweeps the active block alike with or without vectors.  Elsewhere
+    it is ``_matrix_re`` and None.
+
+    Whether that pays depends on the evaluations per accepted point: one
+    ``eig`` costs 1.25 (6 groups) to 1.7 (48 groups) times an ``eigvals``,
+    and saves the gradient 2 to 5 times that difference.  Timing both
+    solves at every call of ``_pgd`` runs on general-route draws of 6 to 48
+    groups, the runs of one Perron root and the maximizing runs, 1.0 to 2.5
+    evaluations per accepted point, gain at every size; the several-atom
+    minimizing runs, about 3.3, gain up to 14 groups and lose from 16 on.
+    So ``_pgd`` asks for ``vectors`` on those only up to its
+    ``_HULL_EIG_GROUPS``, and never once its gradients are finite
+    differences.
     """
-    if model.n <= _DENSE_CUTOFF and _route(model) is None:
+    if vectors and _dense_general(model):
         solved = _eig(model.matrix * x)
         return solved[0], solved
     return _matrix_re(model, x), None

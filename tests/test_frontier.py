@@ -348,6 +348,39 @@ class TestGradientFallback:
         assert calls["re_gradient"] == 2
         assert calls["_fd_gradient"] >= 4
 
+    def test_no_eig_once_gradients_are_finite_differences(self, monkeypatch):
+        # On the general route R_e comes with its eig for the next gradient,
+        # until two failures leave the run to finite differences, which no
+        # eigenvector serves: from then on R_e is QR alone.
+        failures, asked, eigs = [], [], []
+        re_with_eig, eig = frontier._re_with_eig, np.linalg.eig
+
+        def non_simple(model, x, solved=None):
+            failures.append(x)
+            raise NonSimple("forced")
+
+        def recorded(model, x, vectors):
+            asked.append((len(failures), vectors))
+            return re_with_eig(model, x, vectors)
+
+        def counted(a):
+            eigs.append(a)
+            return eig(a)
+
+        monkeypatch.setattr(frontier, "_atom_gradients", non_simple)
+        monkeypatch.setattr(frontier, "_re_with_eig", recorded)
+        monkeypatch.setattr(np.linalg, "eig", counted)
+        model = random_model(np.random.default_rng(9), 5)
+
+        def project(x):
+            return _project_budget(x, model.weights, 0.5 * model.weights.sum(), "ge")
+
+        x0 = np.random.default_rng(3).random(5)
+        frontier._pgd(model, project, x0, maximize=False, max_iter=40)
+        assert len(failures) == 2
+        assert [vectors for _, vectors in asked] == [hits < 2 for hits, _ in asked]
+        assert len(eigs) == sum(vectors for _, vectors in asked) < len(asked)
+
     def test_cycle_sweep_takes_no_finite_differences(self, monkeypatch):
         # The 12-cycle's Pareto iterates sit on tied top eigenvalues, where the
         # symmetric route gives the top eigenvector's generalized gradient.
@@ -696,6 +729,35 @@ class TestStepRule:
         assert flags == {single_atom}
 
 
+    @pytest.mark.parametrize("maximize", [False, True], ids=["min", "max"])
+    def test_wide_several_atom_descent_skips_eigenvectors(self, monkeypatch, maximize):
+        # Above _HULL_EIG_GROUPS groups only the several-atom minimizing side
+        # evaluates R_e without eigenvectors: its trials per accepted point
+        # cost more than the gradient's eig they would save.
+        n = frontier._HULL_EIG_GROUPS + 2
+        rng = np.random.default_rng(5)
+        k = np.triu(rng.random((n, n)))
+        k[n // 2:, : n // 2] = 0.0
+        k[: n // 2, : n // 2] += np.tril(rng.random((n // 2, n // 2)))
+        k[n // 2:, n // 2:] += np.tril(rng.random((n - n // 2, n - n // 2)))
+        model = MetapopModel(weights=np.full(n, 1.0 / n), matrix=k)
+        assert not frontier._single_atom(model) and spectral._route(model) is None
+        asked, re_with_eig = [], frontier._re_with_eig
+
+        def recorded(model, x, vectors):
+            asked.append(vectors)
+            return re_with_eig(model, x, vectors)
+
+        monkeypatch.setattr(frontier, "_re_with_eig", recorded)
+        if maximize:
+            def project(x):
+                return _project_budget(x, model.weights, 0.5, "le")
+        else:
+            project = frontier._Halfspace(model.weights, 0.5)
+        frontier._pgd(model, project, np.full(n, 0.5), maximize=maximize, max_iter=20,
+                      single_atom=False)
+        assert len(asked) > 2 and set(asked) == {maximize}
+
     @pytest.mark.parametrize(
         "model, sweep",
         [(_two_atom_model(), pareto_frontier),
@@ -719,9 +781,9 @@ class TestStepRule:
 
             monkeypatch.setattr(np.linalg, name, counted)
 
-        def recorded(model, x):
+        def recorded(model, x, vectors):
             visited.append(("eig", model.matrix * x))
-            return re_with_eig(model, x)
+            return re_with_eig(model, x, vectors)
 
         def run(*args, **kw):
             depth.append(1)
@@ -847,17 +909,17 @@ class TestTiedAtoms:
 
         def recorded_gradient(model, eta):
             seen["x"], seen["g"] = eta.values, gradient(model, eta)
-            seen["fx"] = re_with_eig(model, eta.values)[0]
+            seen["fx"] = re_with_eig(model, eta.values, False)[0]
             return seen["g"]
 
         slopes = []
 
-        def recorded_re(model, x):
+        def recorded_re(model, x, vectors):
             if "g" in seen:
                 slopes.append(float(seen["g"] @ (x - seen["x"])))
                 floor = 1e-15 * max(1.0, abs(seen["fx"]))
                 assert frontier.ARMIJO_DECREASE * abs(slopes[-1]) > floor
-            return re_with_eig(model, x)
+            return re_with_eig(model, x, vectors)
 
         monkeypatch.setattr(frontier, "re_gradient", recorded_gradient)
         monkeypatch.setattr(frontier, "_re_with_eig", recorded_re)

@@ -613,7 +613,7 @@ class TestRouteAgreement:
             x = rng.random(n)
             if trial % 2:
                 x[rng.random(n) < 0.3] = 0.0
-            value, solved = spectral._re_with_eig(model, x)
+            value, solved = spectral._re_with_eig(model, x, True)
             general += solved is not None  # a sparse draw may be balanced
             assert value == effective_re(model, Strategy(x))
         assert general >= 200
