@@ -8,6 +8,7 @@ with full round-trip precision.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -270,6 +271,7 @@ def _add_model_arguments(parser, with_cost=True):
         )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vaxfront",
@@ -341,14 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except VaxfrontError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (VaxfrontError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -346,17 +346,21 @@ def double_norm(model: MetapopModel, p: float) -> float:
     Evaluates (sum_i mu_i (sum_j k_d(i,j)^q mu_j)^(p/q))^(1/p) with
     q = p / (p - 1).  Always finite in finite dimension; the kernel is
     rescaled by its maximum before exponentiation so that large q (p close
-    to 1) cannot overflow.
+    to 1) cannot overflow, and the outer sum is taken relative to its
+    largest inner term so that large p cannot underflow.  ``p`` must be
+    finite.
     """
-    if not p > 1:
-        raise ValidationError("double norm needs p > 1")
+    if not (p > 1 and math.isfinite(p)):
+        raise ValidationError("double norm needs a finite p > 1")
     q = p / (p - 1.0)
     kd = model.kernel()
     scale = float(kd.max())
     if scale == 0.0:
         return 0.0
     inner = ((kd / scale) ** q) @ model.weights
-    return scale * float((model.weights @ inner ** (p / q)) ** (1.0 / p))
+    top = float(inner.max())
+    outer = float(model.weights @ (inner / top) ** (p / q))
+    return scale * top ** (1.0 / q) * outer ** (1.0 / p)
 
 
 def grid_to_model(spec: GridKernelSpec) -> MetapopModel:

@@ -51,6 +51,12 @@ Input with an acyclic support has a radius of exactly zero on every route:
 the balancing step of LAPACK's QR permutes it to triangular form, so
 ``eigvals`` returns its zero diagonal.  On the symmetric route a top
 eigenvalue that is not positive gives +0.0.
+
+Every ``numpy.linalg`` call goes through ``_lapack``, so a LAPACK failure
+reaches the caller as ``NonConvergence`` naming the routine, never as
+``LinAlgError``.  Where the inverse of the eigenvector matrix fails or is
+not finite, the left vectors come from the transpose instead; a root whose
+overlap <phi, v> is exactly 0 gets a zero gradient row and does not pass.
 """
 
 from __future__ import annotations
@@ -95,12 +101,17 @@ def _validate_square(a: np.ndarray, nonnegative: bool) -> np.ndarray:
     return m
 
 
-def _dense_radius(a: np.ndarray) -> float:
+def _lapack(solve, a):
+    """``solve(a)`` for a ``numpy.linalg`` routine ``solve``; a
+    ``LinAlgError`` is raised as ``NonConvergence`` naming the routine."""
     try:
-        eig = np.linalg.eigvals(a)
+        return solve(a)
     except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"dense eigensolver failed: {exc}") from exc
-    return float(np.abs(eig).max())
+        raise NonConvergence(f"{solve.__name__} failed: {exc}") from exc
+
+
+def _dense_radius(a: np.ndarray) -> float:
+    return float(np.abs(_lapack(np.linalg.eigvals, a)).max())
 
 
 def _power_block(block: np.ndarray, cap: int = POWER_ITERATION_CAP) -> float | None:
@@ -142,10 +153,7 @@ def _power_block(block: np.ndarray, cap: int = POWER_ITERATION_CAP) -> float | N
 def _symmetric_radius(s: np.ndarray) -> float:
     """Spectral radius of a symmetric nonnegative matrix: its top eigenvalue
     (Perron-Frobenius), +0.0 when that is not positive."""
-    try:
-        top = float(np.linalg.eigvalsh(s)[-1])
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"symmetric eigensolver failed: {exc}") from exc
+    top = float(_lapack(np.linalg.eigvalsh, s)[-1])
     return top if top > 0.0 else 0.0
 
 
@@ -225,10 +233,7 @@ def _cluster_eigenvalues(values: np.ndarray, tol: float):
 def full_spectrum(a: np.ndarray) -> Spectrum:
     """All N eigenvalues via Hessenberg reduction and shifted QR."""
     m = _validate_square(a, nonnegative=False)
-    try:
-        values = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"QR iteration did not converge: {exc}") from exc
+    values = _lapack(np.linalg.eigvals, m)
     radius = float(np.abs(values).max())
     tol = CLUSTER_TOL * max(1.0, radius)
     order = np.lexsort((-values.imag, -values.real))
@@ -328,15 +333,12 @@ def effective_re_batch(model: MetapopModel, etas: np.ndarray) -> np.ndarray:
         raise DimensionMismatch("etas must be a (B, N) array matching the model")
     if not ((etas >= 0.0) & (etas <= 1.0)).all():
         raise ValidationError("strategy entries must be finite and lie in [0, 1]")
-    try:
-        m = _route(model)
-        if m is not None:
-            top = np.linalg.eigvalsh(_symmetrized(m, etas))[:, -1]
-            return np.where(top > 0.0, top, 0.0)
-        mats = model.matrix[None, :, :] * etas[:, None, :]
-        return np.abs(np.linalg.eigvals(mats)).max(axis=-1)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"batched eigensolver did not converge: {exc}") from exc
+    m = _route(model)
+    if m is not None:
+        top = _lapack(np.linalg.eigvalsh, _symmetrized(m, etas))[:, -1]
+        return np.where(top > 0.0, top, 0.0)
+    mats = model.matrix[None, :, :] * etas[:, None, :]
+    return np.abs(_lapack(np.linalg.eigvals, mats)).max(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -355,10 +357,7 @@ class EigenPair:
 def _symmetric_top(m: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The eigenvalues, ascending, of S = diag(r) M diag(r), r = sqrt(x), and
     the unit eigenvector u of the top one, from one ``eigh``."""
-    try:
-        values, vectors = np.linalg.eigh(_symmetrized(m, x))
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"symmetric eigendecomposition failed: {exc}") from exc
+    values, vectors = _lapack(np.linalg.eigh, _symmetrized(m, x))
     if values[-1] <= 0.0:
         raise ZeroRadius("effective matrix is quasi-nilpotent")
     return values, vectors[:, -1]
@@ -383,10 +382,7 @@ def _symmetric_pair(model: MetapopModel, m: np.ndarray, x: np.ndarray,
 def _left_rows(effective: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """Left vectors of the eigenvalues ``lams`` of ``effective``, one row
     each: the eigenvectors of its transpose's eigenvalues nearest them."""
-    try:
-        values_t, vectors_t = np.linalg.eig(effective.T)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"eigendecomposition failed: {exc}") from exc
+    values_t, vectors_t = _lapack(np.linalg.eig, effective.T)
     match = np.abs(values_t[:, None] - lams[None, :]).argmin(axis=0)
     return vectors_t[:, match].real.T
 
@@ -396,13 +392,18 @@ def _perron_rows(k, x, lams, v, phi):
     K . diag(x), one row each, and which of them pass for Perron roots: a
     real eigenvalue, a gradient nonnegative up to ``_LEAK_TOL``, and a left
     residual within ``RESIDUAL_TOL`` max(lambda, 1) of the size of phi, in
-    Python floats over the few rows.  ``LinAlgError`` if phi is not finite."""
+    Python floats over the few rows.  A row whose overlap <phi, v> is
+    exactly 0 becomes a zero row, which does not pass.  ``NonConvergence``
+    if phi is not finite."""
     sizes = np.abs(phi).max(axis=1).tolist()
     if not math.isfinite(sum(sizes)):
-        raise np.linalg.LinAlgError("left vectors are not finite")
+        raise NonConvergence("left vectors are not finite")
     kt_phi = phi @ k  # row i is (K^T phi_i)^T, and times x it is phi_i^T K diag(x)
+    overlap = (phi * v).sum(axis=1)
+    if 0.0 in overlap.tolist():
+        overlap[overlap == 0.0] = math.inf
     grads = kt_phi * v
-    grads /= (phi * v).sum(axis=1)[:, None]
+    grads /= overlap[:, None]
     residual = np.abs(kt_phi * x - lams.real[:, None] * phi).max(axis=1)
     kept = np.array([
         imag == 0.0 and top > 0.0 and low >= -_LEAK_TOL * top
@@ -418,10 +419,7 @@ def _perron_rows(k, x, lams, v, phi):
 def _eig(effective: np.ndarray):
     """(rho, eigenvalues, right eigenvector matrix) of ``effective`` from
     one ``eig``; rho is the largest modulus, as ``_dense_radius`` takes it."""
-    try:
-        values, vectors = np.linalg.eig(effective)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"eigendecomposition failed: {exc}") from exc
+    values, vectors = _lapack(np.linalg.eig, effective)
     return float(np.abs(values).max()), values, vectors
 
 
@@ -484,9 +482,9 @@ def _perron_roots(k: np.ndarray, x: np.ndarray, window: float, solved=None):
     lams = values[near]
     v = vectors[:, near].real.T
     try:
-        phi = np.linalg.inv(vectors)[near].real
+        phi = _lapack(np.linalg.inv, vectors)[near].real
         grads, kept = _perron_rows(k, x, lams, v, phi)
-    except np.linalg.LinAlgError:
+    except NonConvergence:
         kept = None
     if kept is None or not kept[0]:
         phi = _left_rows(k * x, lams)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -50,9 +51,10 @@ class TestCompute:
         assert doc["cost"] == 0.25
 
     def test_bad_eta_length_exit_2(self, capsys, cycle_path):
-        code, _, err = run(capsys, ["compute", "--model", cycle_path, "--eta", "1,0"])
-        assert code == 2
-        assert "error" in err
+        for eta in ("1,0", "1,x" + ",1" * 10):  # too short, not a float
+            code, _, err = run(capsys, ["compute", "--model", cycle_path, "--eta", eta])
+            assert code == 2
+            assert "error" in err
 
     def test_eta_from_file(self, capsys, cycle_path, tmp_path):
         eta_file = tmp_path / "eta.json"
@@ -260,6 +262,29 @@ class TestOutFile:
         assert (code, silent) == (0, "")
         assert out_path.read_bytes() == printed.encode("utf-8")
 
+    def test_missing_directory_exit_2(self, capsys, two_block_path, tmp_path):
+        out_path = tmp_path / "missing" / "out.txt"
+        code, out, err = run(
+            capsys, ["cstar", "--model", two_block_path, "--out", str(out_path)]
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+
+class TestParserBuiltOnce:
+    def test_second_call_builds_no_parser(self, capsys, monkeypatch, cycle_path):
+        argv = ["compute", "--model", cycle_path, "--eta", ",".join(["1"] * 12)]
+        run(capsys, argv)
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert run(capsys, argv)[0] == 0
+        assert built == []
+
 
 class TestSample:
     def test_deterministic(self, capsys, two_block_path):
@@ -394,12 +419,14 @@ class TestAffineCost:
         assert doc["set"] == [0, 2, 4, 6, 8, 10]
 
     def test_bad_cost_spec_exit_2(self, capsys, cycle_path):
-        code, _, err = run(
-            capsys,
-            ["compute", "--model", cycle_path, "--eta", ",".join(["1"] * 12),
-             "--cost", "quadratic"],
-        )
-        assert code == 2
+        for spec in ("quadratic", "affine:1,x" + ",1" * 10):
+            code, _, err = run(
+                capsys,
+                ["compute", "--model", cycle_path, "--eta", ",".join(["1"] * 12),
+                 "--cost", spec],
+            )
+            assert code == 2
+            assert err.startswith("error:")
 
     def test_affine_zero_coefficient_exit_2(self, capsys, cycle_path):
         coef = ",".join(["1"] * 11 + ["0"])

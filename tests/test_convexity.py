@@ -218,6 +218,13 @@ class TestProbeConvexity:
         verdict = probe_convexity(model, trials=500, seed=0)
         assert verdict.verdict == "Linear"
 
+    def test_concave_model_probe(self):
+        model = random_concave_model(np.random.default_rng(34), 5)
+        verdict = probe_convexity(model, trials=500, seed=1)
+        assert verdict.verdict == "Concave"
+        assert verdict.concavity_violation is None
+        assert verdict.convexity_violation.gap > 1e-6
+
     def test_convex_model_probe_consistent(self):
         rng = np.random.default_rng(34)
         model = random_convex_model(rng, 5)
@@ -254,10 +261,15 @@ class TestSylvester:
             assert sylvester_check(t, f, g).equal
 
     def test_validates_inputs(self):
-        with pytest.raises(ValidationError):
-            sylvester_check(np.array([[0.0, 1.0], [2.0, 0.0]]), np.ones(2), np.ones(2))
-        with pytest.raises(ValidationError):
-            sylvester_check(np.eye(2), np.array([1.0, 1e7]), np.ones(2))
+        for t, f, g in (
+            (np.array([[0.0, 1.0], [2.0, 0.0]]), np.ones(2), np.ones(2)),
+            (np.eye(2), np.array([1.0, 1e7]), np.ones(2)),
+            (np.ones((2, 3)), np.ones(2), np.ones(2)),  # T not square
+            (np.eye(2), np.ones(3), np.ones(2)),  # f of the wrong length
+            (np.eye(2), np.ones(2), np.ones((2, 1))),  # g not a vector
+        ):
+            with pytest.raises(ValidationError):
+                sylvester_check(t, f, g)
 
 
 class TestTheoremCertificates:

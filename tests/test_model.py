@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from vaxfront import (
     CostFunction,
+    DimensionMismatch,
     GridKernelSpec,
     MetapopModel,
     ParseError,
@@ -95,13 +96,27 @@ class TestLoadModel:
     @pytest.mark.parametrize(
         "field, value",
         [("labels", 5), ("labels", "ab"), ("labels", ["a", 2]), ("n", 2.9), ("n", "2"),
-         ("n", True), ("n", 2.0)],
+         ("n", True), ("n", 2.0), ("weights", ["a", 0.5])],
     )
     def test_strict_fields(self, tmp_path, field, value):
         doc = {"n": 2, "weights": [0.5, 0.5], "matrix": [[0.0, 1.0], [1.0, 0.0]]}
         doc[field] = value
         with pytest.raises(ParseError):
             load_model(write_model(tmp_path, "strict.json", doc))
+
+    @pytest.mark.parametrize("text, error", [
+        (None, ParseError),
+        ("[1.0]", ParseError),
+        ('{"weights": [1.0], "matrix": [[1.0]]}', ParseError),
+        ('{"n": 2, "weights": [0.5, 0.5], "matrix": [[1.0]]}', ValidationError),
+        ('{"n": 2, "weights": [1.5, -0.5], "matrix": [[1, 0], [0, 1]]}', ValidationError),
+    ], ids=["no-file", "not-an-object", "no-n", "matrix-shape", "negative-weight"])
+    def test_refused_files(self, tmp_path, text, error):
+        path = tmp_path / "model.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(error):
+            load_model(str(path))
 
     @settings(max_examples=40, deadline=None)
     @given(st.data(), st.integers(1, 5))
@@ -174,6 +189,15 @@ class TestGrid:
         with pytest.raises(ParseError):
             load_grid(path)
 
+    @pytest.mark.parametrize("doc, error", [
+        ({"grid_points": 2}, ParseError),
+        ({"grid_points": 2, "samples": [[1.0, "a"], [1.0, 1.0]]}, ParseError),
+        ({"grid_points": 2, "samples": [[1.0, 1.0]]}, ValidationError),
+    ], ids=["no-samples", "malformed-samples", "samples-shape"])
+    def test_refused_grid_files(self, tmp_path, doc, error):
+        with pytest.raises(error):
+            load_grid(write_model(tmp_path, "grid.json", doc))
+
     def test_grid_file(self, tmp_path):
         path = tmp_path / "g.json"
         path.write_text(json.dumps({"grid_points": 2, "samples": [[1.0, 2.0], [3.0, 4.0]]}))
@@ -203,6 +227,30 @@ class TestStrictConstruction:
     def test_grid_points_refused(self, value, size):
         with pytest.raises(ValidationError):
             GridKernelSpec(grid_points=value, samples=np.ones((size, size)))
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda: MetapopModel(np.array([]), np.zeros((0, 0))), ValidationError),
+        (lambda: MetapopModel(np.array([0.5, 0.5]), np.ones((2, 3))), ValidationError),
+        (lambda: MetapopModel(np.array([0.5, 0.5]), np.ones((3, 3))), ValidationError),
+        (lambda: MetapopModel(np.array([1.5, -0.5]), np.ones((2, 2))), ValidationError),
+        (lambda: MetapopModel(np.array([0.5, 0.6]), np.ones((2, 2))), ValidationError),
+        (lambda: MetapopModel(np.array([0.5, 0.5]), np.ones((2, 2)), labels=("a",)),
+         ValidationError),
+        (lambda: fixtures.cycle_model().effective_matrix(Strategy.ones(3)),
+         DimensionMismatch),
+        (lambda: Strategy(np.array([])), ValidationError),
+        (lambda: CostFunction("quadratic"), ValidationError),
+        (lambda: CostFunction("uniform", np.ones(2)), ValidationError),
+        (lambda: CostFunction.affine([]), ValidationError),
+        (lambda: CostFunction.affine([1.0, 2.0]).coefficient_vector(3), DimensionMismatch),
+        (lambda: GridKernelSpec(grid_points=2, samples=np.ones((2, 3))), ValidationError),
+    ], ids=["no-weights", "matrix-not-square", "matrix-size", "negative-weight",
+            "weight-sum", "labels-length", "strategy-length", "empty-strategy",
+            "cost-kind", "uniform-coefficients", "no-coefficients",
+            "coefficient-count", "samples-shape"])
+    def test_refused(self, build, error):
+        with pytest.raises(error):
+            build()
 
     def test_numpy_grid_points_accepted(self):
         spec = GridKernelSpec(grid_points=np.int64(2), samples=np.ones((2, 2)))
@@ -267,18 +315,23 @@ class TestDoubleNorm:
 
     def test_p_must_exceed_one(self):
         model = MetapopModel(weights=np.array([1.0]), matrix=np.array([[1.0]]))
-        with pytest.raises(ValidationError):
-            double_norm(model, 1.0)
+        for p in (1.0, math.inf):
+            with pytest.raises(ValidationError):
+                double_norm(model, p)
 
     def test_operator_norm_bound(self):
+        # R_0 <= ||k|| for every p; large p must not underflow the outer sum.
         rng = np.random.default_rng(2)
+        models = [fixtures.cycle_model()]
         for _ in range(25):
             n = int(rng.integers(1, 6))
             w = 0.2 + rng.random(n)
             w /= math.fsum(w.tolist())
-            model = MetapopModel(weights=w, matrix=rng.random((n, n)))
-            r0 = effective_re(model, Strategy.ones(n))
-            assert r0 <= double_norm(model, 2.0) + 1e-10
+            models.append(MetapopModel(weights=w, matrix=rng.random((n, n))))
+        for model in models:
+            r0 = effective_re(model, Strategy.ones(model.n))
+            for p in (1.5, 2.0, 10.0, 100.0, 420.0, 1e3, 1e4):
+                assert r0 <= double_norm(model, p) * (1.0 + 1e-12) + 1e-12
 
 
 class TestStrategy:

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from vaxfront import (
     ComplexSpectrum,
     CostFunction,
+    DimensionMismatch,
     MetapopModel,
     NonConvergence,
     NonSimple,
@@ -60,6 +62,15 @@ class TestSpectralRadius:
 
         with pytest.raises(ValidationError):
             spectral_radius(np.array([[1.0, -1.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("a", [np.ones((2, 3)), np.zeros((0, 0)), np.ones(3),
+                                   np.array([[1.0, math.nan], [0.0, 1.0]]),
+                                   np.array([[1.0, math.inf], [0.0, 1.0]])],
+                             ids=["not-square", "empty", "vector", "nan", "inf"])
+    def test_rejects_malformed(self, a):
+        for call in (spectral_radius, full_spectrum, inertia):
+            with pytest.raises(ValidationError):
+                call(a)
 
 
 class TestFullSpectrum:
@@ -151,6 +162,12 @@ class TestEffectiveRe:
         model = random_model(np.random.default_rng(7), 2)
         with pytest.raises(ValidationError):
             effective_re_batch(model, np.array([[0.5, 0.5], row]))
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (2, 2, 2)])
+    def test_batch_shape_checked(self, shape):
+        model = random_model(np.random.default_rng(7), 2)
+        with pytest.raises(DimensionMismatch):
+            effective_re_batch(model, np.full(shape, 0.5))
 
     def test_batch_failure_raises_at_once(self, monkeypatch):
         calls = []
@@ -287,22 +304,32 @@ class TestDominantPair:
                 return
         assert np.isfinite(pair.left).all() and np.isfinite(pair.right).all()
 
-    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, None], ids=["inf", "nan", "raises"])
     def test_non_finite_inverse_takes_the_fallback(self, monkeypatch, bad):
+        # bad=None: the inverse raises LinAlgError, as for a singular matrix.
         model = random_model(np.random.default_rng(9), 4)
         eta = Strategy(np.array([0.2, 0.0, 0.7, 1.0]))
         expected = dominant_pair(model, eta)
-        monkeypatch.setattr(np.linalg, "inv", lambda a: np.full(a.shape, bad))
+        expected_gradient = re_gradient(model, eta)
+
+        def inverse(a):
+            if bad is None:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return np.full(a.shape, bad)
+
+        monkeypatch.setattr(np.linalg, "inv", inverse)
         eig, solves = np.linalg.eig, []
         monkeypatch.setattr(np.linalg, "eig", lambda a: solves.append(a) or eig(a))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             pair = dominant_pair(model, eta)
-        # One solve of K . diag(eta) and one of its transpose, no more.
-        assert len(solves) == 2
+            # One solve of K . diag(eta) and one of its transpose, no more.
+            assert len(solves) == 2
+            gradient = re_gradient(model, eta)
         assert pair.value == expected.value
         np.testing.assert_allclose(pair.right, expected.right, rtol=0, atol=1e-12)
         np.testing.assert_allclose(pair.left, expected.left, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(gradient, expected_gradient, rtol=1e-9, atol=1e-15)
 
 
 class TestGradient:
@@ -450,6 +477,89 @@ class TestTiedTopGradient:
         # No Perron pair exists at a tie.
         with pytest.raises(NonSimple):
             dominant_pair(model, Strategy(eta))
+
+
+def _general():
+    return random_model(np.random.default_rng(9), 4), Strategy(np.array([0.2, 0.5, 0.7, 1.0]))
+
+
+def _symmetric():
+    return fixtures.cycle_model(), Strategy(np.linspace(0.3, 1.0, 12))
+
+
+def _failing(routine):
+    """A stand-in for ``numpy.linalg.<routine>`` that fails as LAPACK does."""
+
+    @functools.wraps(getattr(np.linalg, routine))
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{routine} did not converge")
+
+    return failing
+
+
+class TestFailurePolicy:
+    """A LAPACK failure reaches the caller as ``NonConvergence`` naming the
+    ``numpy.linalg`` routine, never as ``LinAlgError``."""
+
+    @pytest.mark.parametrize("routine, make, call", [
+        ("eigvals", _general, effective_re),
+        ("eigvals", _general, lambda m, e: effective_re_batch(m, e.values[None, :])),
+        ("eigvals", _general, lambda m, e: spectral_radius(m.effective_matrix(e))),
+        ("eigvals", _general, lambda m, e: full_spectrum(m.matrix)),
+        ("eigvals", _general, lambda m, e: inertia(m.matrix)),
+        ("eigvalsh", _symmetric, effective_re),
+        ("eigvalsh", _symmetric, lambda m, e: effective_re_batch(m, e.values[None, :])),
+        ("eigvalsh", _symmetric, lambda m, e: spectral_radius(m.matrix)),
+        ("eigh", _symmetric, dominant_pair),
+        ("eigh", _symmetric, re_gradient),
+        ("eig", _general, dominant_pair),
+        ("eig", _general, re_gradient),
+    ], ids=[
+        "eigvals-effective_re", "eigvals-batch", "eigvals-spectral_radius",
+        "eigvals-full_spectrum", "eigvals-inertia", "eigvalsh-effective_re",
+        "eigvalsh-batch", "eigvalsh-spectral_radius", "eigh-dominant_pair",
+        "eigh-re_gradient", "eig-dominant_pair", "eig-re_gradient",
+    ])
+    def test_names_the_routine(self, monkeypatch, routine, make, call):
+        model, eta = make()
+        monkeypatch.setattr(np.linalg, routine, _failing(routine))
+        with pytest.raises(NonConvergence, match=rf"^{routine} failed: "):
+            call(model, eta)
+
+    @pytest.mark.parametrize("call", [dominant_pair, re_gradient])
+    def test_failed_transpose_after_failed_inverse(self, monkeypatch, call):
+        model, eta = _general()
+        eig, solves = np.linalg.eig, []
+
+        @functools.wraps(eig)
+        def first_only(a):
+            solves.append(a)
+            return _failing("eig")(a) if len(solves) > 1 else eig(a)
+
+        monkeypatch.setattr(np.linalg, "inv", _failing("inv"))
+        monkeypatch.setattr(np.linalg, "eig", first_only)
+        with pytest.raises(NonConvergence, match="^eig failed: "):
+            call(model, eta)
+        assert len(solves) == 2
+
+    def test_zero_overlap_row_is_refused(self):
+        # Row 1's right and left vectors lie on different groups, so their
+        # overlap is exactly 0; the row must be refused without a 0/0.
+        model, eta = _general()
+        k, x = model.matrix, eta.values
+        _, lams, vectors = spectral._eig(k * x)
+        v = vectors.real.T.copy()
+        phi = np.linalg.inv(vectors).real
+        v[1], phi[1] = np.eye(4)[0], np.eye(4)[1]
+        others = [0, 2, 3]
+        want_grads, want_kept = spectral._perron_rows(
+            k, x, lams[others], v[others], phi[others])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grads, kept = spectral._perron_rows(k, x, lams, v, phi)
+        assert not kept[1] and not grads[1].any()
+        assert grads[others].tobytes() == want_grads.tobytes()
+        assert kept[others].tolist() == want_kept.tolist()
 
 
 class TestInertia:

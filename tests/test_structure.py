@@ -63,6 +63,11 @@ class TestIsInvariant:
         assert is_invariant(model, [])
         assert is_invariant(model, [0, 1, 2])
 
+    @pytest.mark.parametrize("subset", [[-1], [0, 3]])
+    def test_indices_out_of_range(self, subset):
+        with pytest.raises(ValidationError):
+            is_invariant(model_of(np.ones((3, 3))), subset)
+
     def test_cycle_arc_not_invariant(self):
         assert not is_invariant(fixtures.cycle_model(), [0, 1, 2])
 
