@@ -12,14 +12,16 @@ independent sets.
 The exact search is a branch and bound on bitmasks, include-first on the
 lowest-index candidate, pruned by a greedy weighted clique cover of the
 candidates over the mutual edges (an acyclic set takes at most one vertex
-per bidirected clique; see Ostergard 2002, "A fast algorithm for the maximum
-clique problem", for the colouring form of the same bound).  A group whose
-one-way edges would close a cycle through the groups already chosen is not
-included.  Every cycle lies inside one strongly connected component, so a
-directed support is searched one component at a time (the contraction view
-of Levy and Low 1988, "A contraction algorithm for finding small cycle
-cutsets").  Among the sets of maximal weight, summed in ascending index
-order, a search returns the lexicographically smallest.  A search stopped at
+per bidirected clique).  The cover is first-fit colouring in ascending index
+order, built one clique at a time by bitmask intersections (Ostergard 2002;
+San Segundo, Rodriguez-Losada and Jimenez 2011, "An exact bit-parallel
+algorithm for the maximum clique problem").  A group whose one-way edges
+would close a cycle through the groups already chosen is not included.
+Every cycle lies inside one strongly connected component, so a directed
+support is searched one component at a time (the contraction view of Levy
+and Low 1988, "A contraction algorithm for finding small cycle cutsets").
+Among the sets of maximal weight, summed in ascending index order, a search
+returns the lexicographically smallest.  A search stopped at
 ``SEARCH_NODE_BUDGET`` nodes returns its best set so far, flagged
 ``exact=False``: still acyclic, so an eradicating upper bound.
 """
@@ -45,7 +47,8 @@ class IndependentSetResult:
     ``alpha`` is the saved cost c_max - C(1_A) (the weighted independence
     number; plain mu(A) for the uniform cost) and ``cstar`` the cost C(1_A)
     of vaccinating everybody else.  ``exact`` is False when the search
-    stopped at the node budget before proving the set maximal.
+    stopped at the node budget before proving the set maximal; ``nodes``
+    counts the search's nodes.
     """
 
     set: tuple[int, ...]
@@ -53,6 +56,7 @@ class IndependentSetResult:
     cstar: float
     weight: float
     exact: bool
+    nodes: int
 
 
 def _conflict_graph(matrix: np.ndarray):
@@ -87,18 +91,39 @@ def _closes_cycle(v: int, chosen: int, oneway) -> bool:
     return False
 
 
+def _clique_cover_bound(candidates: int, adj, w) -> float:
+    """Sum of the largest weights of a greedy clique cover of the
+    ``candidates`` bitmask by the mutual edges ``adj``, in order of creation.
+
+    A clique starts at the lowest candidate left and takes, in ascending
+    order, each candidate adjacent to all its members so far.  So a vertex
+    joins clique k when it is in no earlier clique and is adjacent to every
+    lower member of clique k: the cliques, and so the sum, of first-fit.
+    """
+    total = 0.0
+    while candidates:
+        possible, top = candidates, float("-inf")
+        while possible:
+            low = possible & -possible
+            candidates ^= low
+            u = low.bit_length() - 1
+            possible &= adj[u]
+            if w[u] > top:
+                top = w[u]
+        total += top
+    return total
+
+
 def _mwis_branch_and_bound(allowed, adj, oneway, weights):
     """Exact maximum-weight acyclic set by include-first branch and bound
     with a clique-cover bound.
 
     ``adj`` holds the mutual edges and ``oneway`` the one-way edges; with no
     one-way edge the acyclic sets are the independent sets.  The candidates
-    of a node are one bitmask.  Its bound is the current weight plus, over a
-    greedy clique cover of the candidates by mutual edges, each clique's
-    largest weight: every candidate joins, in ascending index order, the
-    first clique whose members are all adjacent to it.  An acyclic set takes
-    at most one vertex per bidirected clique, so the bound holds.  Including
-    a candidate drops its mutual neighbours; a candidate that would close a
+    of a node are one bitmask.  Its bound is the current weight plus
+    ``_clique_cover_bound`` of the candidates; an acyclic set takes at most
+    one vertex per bidirected clique, so the bound holds.  Including a
+    candidate drops its mutual neighbours; a candidate that would close a
     one-way cycle through the chosen groups is only excluded.
 
     Branching is include-first on the lowest-index candidate and a set's
@@ -106,36 +131,15 @@ def _mwis_branch_and_bound(allowed, adj, oneway, weights):
     its bound lies below the best weight by more than a relative slack of
     1e-12 (total weight + 1), far above the rounding of either sum, so every
     set of maximal weight is reached.  The result is the lexicographically
-    smallest of them (as a sorted index tuple), its weight, and whether the
-    search finished within ``SEARCH_NODE_BUDGET`` nodes; if it did not, the
-    set is the best one found so far.
+    smallest of them (as a sorted index tuple), its weight, whether the
+    search finished within ``SEARCH_NODE_BUDGET`` nodes (if it did not, the
+    set is the best one found so far) and the number of nodes visited.
     """
     w = [float(x) for x in weights]
     n = len(w)
     slack = 1e-12 * (sum(w) + 1.0)
     best_weight = -1.0
     best_set: tuple[int, ...] = ()
-
-    def cover_bound(candidates: int) -> float:
-        cliques = []  # [member mask, largest weight]
-        placed = 0
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            v = low.bit_length() - 1
-            neighbours = adj[v] & placed
-            # Skipping the scan when v has no placed neighbour keeps
-            # isolated vertices linear; no clique could take them.
-            for clique in cliques if neighbours else ():
-                if not clique[0] & ~neighbours:
-                    clique[0] |= low
-                    if w[v] > clique[1]:
-                        clique[1] = w[v]
-                    break
-            else:
-                cliques.append([low, w[v]])
-            placed |= low
-        return sum(clique[1] for clique in cliques)
 
     # Depth-first over an explicit stack of (candidates, chosen, weight)
     # bitmasks and sums, so that depth is not bounded by the interpreter's
@@ -153,14 +157,14 @@ def _mwis_branch_and_bound(allowed, adj, oneway, weights):
                     best_weight = weight
                     best_set = members
             continue
-        if weight + cover_bound(candidates) < best_weight - slack:
+        if weight + _clique_cover_bound(candidates, adj, w) < best_weight - slack:
             continue
         low = candidates & -candidates
         v = low.bit_length() - 1
         stack.append((candidates ^ low, chosen, weight))
         if not _closes_cycle(v, chosen, oneway):
             stack.append((candidates & ~adj[v] & ~low, chosen | low, weight + w[v]))
-    return best_set, best_weight if best_weight >= 0 else 0.0, not stack
+    return best_set, max(best_weight, 0.0), not stack, SEARCH_NODE_BUDGET - nodes_left
 
 
 def max_independent_set(
@@ -178,13 +182,13 @@ def max_independent_set(
     positive = model.matrix > 0
     # Independence forbids an edge either way, so every edge counts as mutual.
     graph = _conflict_graph(positive | positive.T)
-    best_set, weight, exact = _mwis_branch_and_bound(*graph, weights)
+    best_set, weight, exact, nodes = _mwis_branch_and_bound(*graph, weights)
     strategy = Strategy.indicator(model.n, best_set)
     cstar = cost(cost_fn, model, strategy)
     alpha = c_max(cost_fn, model) - cstar
     return IndependentSetResult(
         set=tuple(sorted(best_set)), alpha=alpha, cstar=cstar, weight=float(weight),
-        exact=exact,
+        exact=exact, nodes=nodes,
     )
 
 
@@ -194,6 +198,8 @@ class EradicationResult:
 
     ``exact`` is True when every search proved its set maximal; a search
     stopped at ``SEARCH_NODE_BUDGET`` nodes makes ``cstar`` an upper bound.
+    ``nodes`` counts the nodes of every search, summed over the components
+    of a directed support.
     """
 
     cstar: float
@@ -201,6 +207,7 @@ class EradicationResult:
     set: tuple[int, ...]
     alpha: float
     exact: bool
+    nodes: int
 
 
 def has_symmetric_support(model: MetapopModel) -> bool:
@@ -218,8 +225,7 @@ def eradication_cost(model: MetapopModel, cost_fn: CostFunction) -> EradicationR
     """
     if has_symmetric_support(model):
         res = max_independent_set(model, cost_fn)
-        chosen = res.set
-        exact = res.exact
+        chosen, exact, nodes = res.set, res.exact, res.nodes
     else:
         weights = cost_fn.coefficient_vector(model.n) * model.weights
         _, adj, oneway = _conflict_graph(model.matrix)
@@ -227,8 +233,9 @@ def eradication_cost(model: MetapopModel, cost_fn: CostFunction) -> EradicationR
             _mwis_branch_and_bound([v for v in comp if v in adj], adj, oneway, weights)
             for comp in support_components(model.matrix)[1]
         ]
-        chosen = tuple(sorted(v for found, _, _ in searches for v in found))
-        exact = all(finished for _, _, finished in searches)
+        chosen = tuple(sorted(v for found, *_ in searches for v in found))
+        exact = all(finished for _, _, finished, _ in searches)
+        nodes = sum(count for *_, count in searches)
     strategy = Strategy.indicator(model.n, chosen)
     value = cost(cost_fn, model, strategy)
     residual = effective_re(model, strategy)
@@ -242,4 +249,5 @@ def eradication_cost(model: MetapopModel, cost_fn: CostFunction) -> EradicationR
         set=chosen,
         alpha=c_max(cost_fn, model) - value,
         exact=exact,
+        nodes=nodes,
     )

@@ -172,6 +172,8 @@ class TestCstar:
         assert doc["set"] == [0, 2, 4, 6, 8, 10]
         assert doc["alpha"] == 0.5
         assert doc["exact"] is True
+        # The search's node count stays off the CLI document.
+        assert list(doc) == ["cstar", "set", "alpha", "exact"]
 
     def test_search_on_1200_groups(self, capsys, tmp_path):
         # One search level per group: deeper than the interpreter's

@@ -240,22 +240,32 @@ class TestExactSearch:
         result = max_independent_set(model_of(k, weights), UNIFORM)
         assert result.set == (3, 4, 5, 6)
 
+    # The node counts are those of the first-fit cover's search: a cover
+    # that changed any bound would change the nodes visited.
     @pytest.mark.parametrize(
-        "matrix, expected",
+        "matrix, expected, nodes",
         [
-            (fixtures.cycle_model(40).matrix, tuple(range(0, 40, 2))),
-            (ring2_matrix(40), tuple(range(0, 37, 3))),
+            (fixtures.cycle_model(40).matrix, tuple(range(0, 40, 2)), 81),
+            (ring2_matrix(40), tuple(range(0, 37, 3)), 573),
             (
                 grid_matrix(5, 8),
                 tuple(v for v in range(40) if (v // 8 + v % 8) % 2 == 0),
+                81,
+            ),
+            (
+                grid_matrix(20, 20),
+                tuple(v for v in range(400) if (v // 20 + v % 20) % 2 == 0),
+                801,
             ),
         ],
-        ids=["cycle-40", "ring2-40", "grid-5x8"],
+        ids=["cycle-40", "ring2-40", "grid-5x8", "grid-20x20"],
     )
-    def test_closed_forms_at_the_cap(self, matrix, expected):
+    def test_closed_forms_at_the_cap(self, matrix, expected, nodes):
         model = model_of(matrix)
         result = max_independent_set(model, UNIFORM)
+        assert result.exact
         assert result.set == expected
+        assert result.nodes == nodes
 
     def test_cycle_beyond_forty_groups(self):
         result = max_independent_set(fixtures.cycle_model(60), UNIFORM)
@@ -276,9 +286,11 @@ class TestExactSearch:
         model = model_of(ring2_matrix(40))
         proved = eradication_cost(model, UNIFORM)
         assert proved.exact
+        assert proved.nodes == 573
         monkeypatch.setattr(independent, "SEARCH_NODE_BUDGET", 100)
         stopped = max_independent_set(model, UNIFORM)
         assert not stopped.exact
+        assert stopped.nodes == 100
         assert not model.matrix[np.ix_(stopped.set, stopped.set)].any()
         bound = eradication_cost(model, UNIFORM)
         assert not bound.exact
@@ -300,6 +312,39 @@ class TestExactSearch:
                     if j != i and matrix[i, j] > 0 and not matrix[j, i] > 0:
                         oneway[i] |= 1 << j
             assert independent._conflict_graph(matrix) == (allowed, mutual, oneway)
+
+    def test_clique_cover_matches_first_fit(self):
+        def first_fit(candidates, adj, w):
+            # Each vertex, in ascending order, joins the first clique whose
+            # members are all adjacent to it.
+            cliques = []  # [member mask, largest weight]
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                v = low.bit_length() - 1
+                for clique in cliques:
+                    if not clique[0] & ~adj[v]:
+                        clique[0] |= low
+                        clique[1] = max(clique[1], w[v])
+                        break
+                else:
+                    cliques.append([low, w[v]])
+            return sum(clique[1] for clique in cliques)
+
+        rng = np.random.default_rng(45)
+        for trial in range(300):
+            n = int(rng.integers(1, 71))
+            matrix = (rng.random((n, n)) < rng.random()).astype(float)
+            if trial % 2:
+                matrix = np.maximum(matrix, matrix.T)
+            allowed, adj, _ = independent._conflict_graph(matrix)
+            w = [1.0 / n] * n if trial % 3 else rng.random(n).tolist()
+            for _ in range(5):
+                keep = rng.random()
+                candidates = sum(1 << v for v in allowed if rng.random() < keep)
+                assert independent._clique_cover_bound(candidates, adj, w) == (
+                    first_fit(candidates, adj, w)
+                )
 
 
 class TestEradicationCost:
@@ -374,8 +419,22 @@ class TestEradicationCost:
         monkeypatch.setattr(independent, "SEARCH_NODE_BUDGET", 10)
         bound = eradication_cost(model, UNIFORM)
         assert not bound.exact
+        assert bound.nodes == 10
         assert bound.cstar >= proved.cstar
         assert effective_re(model, bound.strategy) <= 1e-10
+
+    def test_nodes_summed_over_components(self):
+        # Two directed cycles, of 3 and 5 groups, searched one at a time.
+        def directed_cycle(n):
+            return np.roll(np.eye(n), 1, axis=0)
+
+        both = np.zeros((8, 8))
+        both[:3, :3] = directed_cycle(3)
+        both[3:, 3:] = directed_cycle(5)
+        counts = [eradication_cost(model_of(directed_cycle(n)), UNIFORM).nodes
+                  for n in (3, 5)]
+        assert min(counts) > 0
+        assert eradication_cost(model_of(both), UNIFORM).nodes == sum(counts)
 
     def test_strategy_matches_set(self):
         result = eradication_cost(fixtures.cycle_model(), UNIFORM)
