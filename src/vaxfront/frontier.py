@@ -27,12 +27,11 @@ trial stays 4 times the last accepted step, as the two-point step
 overshoots the kinks.  The anti side keeps the whole-matrix gradient, one
 formula from one ``eigh`` on a symmetrizable K (at a tied top eigenvalue
 the top eigenvector's element of the generalized gradient) and the top
-atom row on a general K.  Where ``spectral._perron_roots`` gives no row,
-at eigenvalues tied within 1e-8 that the eigensolver does not keep apart
-or a top root whose left vector fails from both the inverse and the
-transpose, central finite differences stand in.
-Every Armijo ladder stops before a trial whose required decrease is below
-the rounding of R_e.
+atom row on a general K.  Where zeros of eta cut K, R_e is the largest
+radius of the components left, whose rows serve at ties the eigensolver
+does not keep apart.  A run ends where no gradient comes.  Every Armijo
+ladder stops before a trial whose required decrease is below the rounding
+of R_e.
 
 Each side's public single-budget solve is its checks plus one driver,
 ``_minimize`` or ``_maximize``; each sweep computes its invariants (the
@@ -81,7 +80,6 @@ LOSS_ZERO_TOL = 1e-8
 _STARTS_SEED = 7151020
 RAY_GRID = 16
 RAY_TOL = 1e-6
-_FD_STEP = 1e-6
 _HULL_STEPS = 8  # Frank-Wolfe steps of ``_min_norm`` on three or more rows
 _ACTIVE_TOL = 1e-5  # a bound or budget this close to x is active in ``_hull_direction``
 _HULL_EIG_GROUPS = 12  # above this the several-atom descent's R_e trials skip eigenvectors
@@ -137,23 +135,6 @@ def _project_budget(x: np.ndarray, w: np.ndarray, b: float, sense: str) -> np.nd
         t = math.inf  # every coordinate ends at 1
     y = _unit_clip(x + t * w)
     return y if sense == "ge" else 1.0 - y
-
-
-def _fd_gradient(model: MetapopModel, eta: np.ndarray) -> np.ndarray:
-    """Central finite differences; fallback where the eigen-gradient fails.
-    Probe 2j raises coordinate j by the step, probe 2j + 1 lowers it."""
-    n = eta.size
-    cols = np.arange(n)
-    up = np.minimum(1.0, eta + _FD_STEP)
-    dn = np.maximum(0.0, eta - _FD_STEP)
-    probes = np.repeat(eta[None, :], 2 * n, axis=0)
-    probes[2 * cols, cols] = up
-    probes[2 * cols + 1, cols] = dn
-    values = effective_re_batch(model, probes)
-    h = up - dn
-    return np.divide(
-        values[0::2] - values[1::2], h, out=np.zeros(n), where=h > 0
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,24 +213,21 @@ def _pgd(model, project, x0, maximize, max_iter=PGD_ITERATION_CAP,
          window_tol=1e-9, single_atom=True):
     """Projected gradient with Armijo backtracking; returns (value, point).
 
-    The direction has two rules.  The maximizing side, and a K with at most
-    one atom (``single_atom``), take the whole-matrix ``re_gradient``.  The
-    minimizing side on several atoms, where R_e is the largest atom radius
-    with a kink wherever two radii tie, takes ``_hull_direction`` of the
-    ``_atom_gradients`` (``project`` is then a ``_Halfspace``): the
-    minimum-norm point of the hull of the gradients of the radii within
-    1e-3 of R_e, which lowers the tied radii together where one gradient
-    would zigzag across the kink.  ``re_gradient`` answers at a tied top of
-    a symmetrizable K; on a general K it is the top ``_atom_gradients`` row.
-    On a general K of at most ``spectral._DENSE_CUTOFF`` groups each visited
-    point, the start and every Armijo trial, is solved once: one ``eig`` of
-    K diag(x) gives R_e (``_re_with_eig``), and the gradient at an accepted
-    point reuses it in ``_atom_gradients``; the several-atom minimizing
-    side does so only up to ``_HULL_EIG_GROUPS`` groups.  Where either
-    gradient raises ``NonSimple`` or ``NonConvergence`` (on a general K
-    only), the gradient comes from central finite differences, for good
-    after two failures, and from then on R_e comes without eigenvectors; a
-    zero radius ends the run.
+    The direction comes from the ``_atom_gradients`` of K diag(x), whose
+    zeros can cut one atom of K into several: the maximizing side takes the
+    top row, the whole-matrix gradient; the minimizing side, where R_e is
+    the largest atom radius with a kink wherever two radii tie, the
+    ``_hull_direction`` of the rows (``project`` is then a ``_Halfspace``),
+    which lowers the tied radii together where one gradient would zigzag
+    across the kink.  On a general K of at most ``spectral._DENSE_CUTOFF``
+    groups each visited point, the start and every Armijo trial, is solved
+    once: one ``eig`` of K diag(x) gives R_e (``_re_with_eig``), and the
+    gradient at an accepted point reuses it; the several-atom minimizing
+    side does so only up to ``_HULL_EIG_GROUPS`` groups.  Where no ``eig``
+    is at hand for a K with at most one atom (``single_atom``) or for the
+    maximizing side, as on the symmetric route, ``re_gradient`` serves; it
+    answers at a tied top of a symmetrizable K.  A gradient that raises
+    ends the run at its current point.
 
     The first Armijo trial is 4 times the last accepted step.  Where K has at
     most one atom (``single_atom``), R_e is one Perron root, smooth away from
@@ -276,26 +254,19 @@ def _pgd(model, project, x0, maximize, max_iter=PGD_ITERATION_CAP,
     # about 3.3, which lose from 16 groups on (see ``_re_with_eig``).
     vectors = single_atom or maximize or model.n <= _HULL_EIG_GROUPS
     fx, solved = _re_with_eig(model, x, vectors)
-    fallback_hits = 0
     window: list[float] = []
     last_step = None
     for _ in range(max_iter):
         if not maximize and fx <= 1e-13:
             break
-        if fallback_hits >= 2:
-            grad = _fd_gradient(model, x)
-        else:
-            try:
-                if single_atom or maximize:
-                    grad = (re_gradient(model, Strategy(x)) if solved is None
-                            else _atom_gradients(model, x, solved)[0])
-                else:
-                    grad = _hull_direction(_atom_gradients(model, x, solved), x, project)
-            except ZeroRadius:
-                break
-            except (NonSimple, NonConvergence):
-                fallback_hits += 1
-                grad = _fd_gradient(model, x)
+        try:
+            if solved is None and (single_atom or maximize):
+                grad = re_gradient(model, Strategy(x))
+            else:
+                rows = _atom_gradients(model, x, solved)
+                grad = rows[0] if maximize else _hull_direction(rows, x, project)
+        except (ZeroRadius, NonSimple, NonConvergence):
+            break
         g = sign * grad
         gmax = np.abs(g).max()
         if gmax <= 1e-15:
@@ -323,7 +294,7 @@ def _pgd(model, project, x0, maximize, max_iter=PGD_ITERATION_CAP,
                 slope = float(g @ delta)
                 if ARMIJO_DECREASE * abs(slope) <= floor:
                     break
-                fc, solved_c = _re_with_eig(model, candidate, vectors and fallback_hits < 2)
+                fc, solved_c = _re_with_eig(model, candidate, vectors)
                 if sign * (fc - fx) <= ARMIJO_DECREASE * slope:
                     x, fx, solved = candidate, fc, solved_c
                     improved = True

@@ -51,6 +51,14 @@ def _check_int(name: str, value, low: int) -> None:
         raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def _check_indices(n: int, indices) -> list:
+    """``indices`` as a list; ``ValidationError`` unless each is an integer in [0, n)."""
+    out = list(indices)
+    if not all(_is_int(i) and 0 <= i < n for i in out):
+        raise ValidationError(f"group indices must be integers in [0, {n}), got {out!r}")
+    return out
+
+
 def _check_finite(a: np.ndarray, what: str) -> None:
     if not np.isfinite(a).all():
         raise ValidationError(f"{what} contains NaN or infinite entries")
@@ -247,7 +255,7 @@ class Strategy:
     def indicator(cls, n: int, kept: "tuple[int, ...] | list[int]") -> "Strategy":
         """1 on ``kept`` (left non-vaccinated), 0 elsewhere."""
         v = np.zeros(n)
-        v[list(kept)] = 1.0
+        v[_check_indices(n, kept)] = 1.0
         return cls(v)
 
 

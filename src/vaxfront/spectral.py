@@ -40,8 +40,9 @@ Three routes are kept deliberately:
   ``eig`` (``_re_with_eig``, the same radius as QR's) and its gradient
   there from the same solve, except where the vectors would cost more than
   the gradient's own ``eig`` (see ``_re_with_eig``).  ``re_gradient`` is
-  the top atom row, and raises ``NonSimple`` only at ties the rows cannot
-  keep apart.
+  the top atom row; at a tie the rows cannot keep apart, the rows come from
+  the effective atoms, the components of K on the groups with eta > 0, and
+  ``NonSimple`` is raised only where a component's own top root is tied.
   ``full_spectrum`` runs the same QR for all N eigenvalues and their
   clusters; it is the spectrum behind ``inertia`` and the cross-check
   oracle in the criteria and the tests.
@@ -442,8 +443,7 @@ def _re_with_eig(model: MetapopModel, x: np.ndarray, vectors: bool):
     evaluations per accepted point, gain at every size; the several-atom
     minimizing runs, about 3.3, gain up to 14 groups and lose from 16 on.
     So ``_pgd`` asks for ``vectors`` on those only up to its
-    ``_HULL_EIG_GROUPS``, and never once its gradients are finite
-    differences.
+    ``_HULL_EIG_GROUPS``.
     """
     if vectors and _dense_general(model):
         solved = _eig(model.matrix * x)
@@ -519,8 +519,7 @@ def dominant_pair(model: MetapopModel, eta: Strategy) -> EigenPair:
     """Perron eigenpair of the effective matrix.
 
     Raises ``ZeroRadius`` when rho = 0 and ``NonSimple`` when the dominant
-    eigenvalue is not simple within the 1e-8 relative gap threshold; callers
-    must then fall back to gradient-free methods.
+    eigenvalue is not simple within the 1e-8 relative gap threshold.
 
     A model on the symmetric route takes one ``eigh`` of
     diag(sqrt(eta)) M diag(sqrt(eta)) and maps its top eigenvector to the
@@ -558,10 +557,13 @@ def _atom_gradients(model: MetapopModel, x: np.ndarray, solved=None) -> np.ndarr
     alone, since v vanishes on the groups the atom does not infect and
     K^T phi on those that do not infect it.
 
-    Raises as ``_perron_roots`` does, and ``NonSimple`` when two eigenvalues
-    in the window lie within the 1e-8 gap threshold of each other, unless
-    both pass and their gradients share no group (two atoms whose radii tie
-    exactly, as at a Pareto optimum, that the eigensolver kept apart).
+    Two eigenvalues in the window within the 1e-8 gap threshold of each
+    other are kept apart where both pass and their gradients share no group
+    (two atoms whose radii tie exactly, as at a Pareto optimum, that the
+    eigensolver kept apart).  Elsewhere the rows are those of the effective
+    atoms, the components of K on {x > 0}, each block solved on its own.
+    Raises as ``_perron_roots`` does, and ``NonSimple`` where a block's own
+    top root is tied.
     """
     rho, lams, _, _, grads, kept = _perron_roots(model.matrix, x, TIE_WINDOW, solved)
     if len(lams) > 1:
@@ -572,9 +574,32 @@ def _atom_gradients(model: MetapopModel, x: np.ndarray, solved=None) -> np.ndarr
             top = grads.max(axis=1)
             disjoint = (grads @ grads.T) <= _LEAK_TOL * np.outer(top, top)
             if (tied & ~(np.outer(kept, kept) & disjoint)).sum() > len(lams):
-                raise NonSimple("eigenvalues tied within the 1e-8 gap threshold")
+                return _effective_atom_rows(model.matrix, x, rho)
         grads = grads[kept]
     return grads
+
+
+def _effective_atom_rows(k: np.ndarray, x: np.ndarray, rho: float) -> np.ndarray:
+    """The top rows, zero off their blocks, of the components of K on
+    {x > 0} whose radii lie within ``TIE_WINDOW`` rho of rho, the largest
+    first: R_e is the largest of their radii (the Frobenius decomposition
+    of K . diag(x))."""
+    live = np.flatnonzero(x > 0.0)
+    found = []
+    for comp in support_components(k[np.ix_(live, live)])[1]:
+        block = live[comp]
+        if len(block) == 1 and k[block[0], block[0]] == 0.0:
+            continue  # radius zero
+        radius, lams, _, _, grads, _ = _perron_roots(
+            k[np.ix_(block, block)], x[block], SIMPLE_GAP_TOL)
+        if len(lams) > 1:
+            raise NonSimple("eigenvalues tied within the 1e-8 gap threshold")
+        if abs(radius - rho) <= TIE_WINDOW * rho:
+            row = np.zeros(x.size)
+            row[block] = grads[0]
+            found.append((radius, row))
+    found.sort(key=lambda pair: -pair[0])
+    return np.array([row for _, row in found])
 
 
 def re_gradient(model: MetapopModel, eta: Strategy) -> np.ndarray:
@@ -594,7 +619,7 @@ def re_gradient(model: MetapopModel, eta: Strategy) -> np.ndarray:
     eta . g = lam, and finite at eta_j = 0.  It never raises ``NonSimple``.
 
     Every other model returns the top row of ``_atom_gradients`` and raises
-    as that does: ``NonSimple`` only at ties its rows cannot keep apart.
+    as that does: ``NonSimple`` only at a tie within one effective atom.
     """
     x = model._values(eta)
     m = _route(model)

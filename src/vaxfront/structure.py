@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._graph import support_components
-from .errors import NotDisconnecting, ValidationError
-from .model import CostFunction, MetapopModel, Strategy, cost
+from .errors import NotDisconnecting
+from .model import CostFunction, MetapopModel, Strategy, _check_indices, cost
 from .spectral import _block_radius, effective_re
 
 
@@ -90,13 +90,9 @@ def _atom_submodel(model: MetapopModel, cost_fn: CostFunction, atom):
 
 def is_invariant(model: MetapopModel, subset) -> bool:
     """True when the group set cannot infect its complement: K(A^c, A) = 0."""
-    a = sorted(set(int(i) for i in subset))
-    if any(i < 0 or i >= model.n for i in a):
-        raise ValidationError("subset indices out of range")
-    if not a or len(a) == model.n:
-        return True
-    comp = sorted(set(range(model.n)) - set(a))
-    return not bool(np.any(model.matrix[np.ix_(comp, a)] > 0))
+    inside = np.zeros(model.n, dtype=bool)
+    inside[_check_indices(model.n, subset)] = True
+    return not (model.matrix[np.ix_(~inside, inside)] > 0).any()
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,12 @@ from vaxfront import (
     CostFunction,
     DimensionMismatch,
     MetapopModel,
+    NonConvergence,
     NonSimple,
     PreconditionFailed,
     Strategy,
     ValidationError,
+    VaxfrontError,
     anti_pareto_frontier,
     assemble_reducible,
     c_max,
@@ -323,77 +325,61 @@ class TestEffortCheck:
         assert solved.loss == optimal_loss(_cycle(), UNIFORM, 0.25, starts=1).loss
 
 
+def _record_gradients(monkeypatch):
+    """Wrap the solver's two gradient calls: the returned lists collect the
+    name of each call and each error one raised."""
+    calls, failures = [], []
+    for name in ("re_gradient", "_atom_gradients"):
+        gradient = getattr(frontier, name)
+
+        def recorded(*args, _name=name, _gradient=gradient):
+            calls.append(_name)
+            try:
+                return _gradient(*args)
+            except VaxfrontError as exc:
+                failures.append(exc)
+                raise
+
+        monkeypatch.setattr(frontier, name, recorded)
+    return calls, failures
+
+
 class TestGradientFallback:
-    def test_two_fallbacks_then_finite_differences(self, monkeypatch):
-        calls = {"re_gradient": 0, "_fd_gradient": 0}
-        fd_gradient = frontier._fd_gradient
+    """Where a gradient fails, nothing stands in for it: the run ends."""
 
-        def non_simple(model, eta):
-            calls["re_gradient"] += 1
-            raise NonSimple("forced")
+    def test_a_failed_gradient_ends_the_run(self, monkeypatch):
+        # On the general route R_e comes with its eig for the next gradient;
+        # the first gradient that fails ends the run at its current point.
+        gradients, asked = [], []
+        re_with_eig = frontier._re_with_eig
 
-        def counted(model, eta):
-            calls["_fd_gradient"] += 1
-            return fd_gradient(model, eta)
-
-        monkeypatch.setattr(frontier, "re_gradient", non_simple)
-        monkeypatch.setattr(frontier, "_fd_gradient", counted)
-        model = _cycle()
-
-        def project(x):
-            return _project_budget(x, model.weights, 0.7, "ge")
-
-        x0 = np.random.default_rng(3).random(12)
-        frontier._pgd(model, project, x0, maximize=False, max_iter=40)
-        assert calls["re_gradient"] == 2
-        assert calls["_fd_gradient"] >= 4
-
-    def test_no_eig_once_gradients_are_finite_differences(self, monkeypatch):
-        # On the general route R_e comes with its eig for the next gradient,
-        # until two failures leave the run to finite differences, which no
-        # eigenvector serves: from then on R_e is QR alone.
-        failures, asked, eigs = [], [], []
-        re_with_eig, eig = frontier._re_with_eig, np.linalg.eig
-
-        def non_simple(model, x, solved=None):
-            failures.append(x)
-            raise NonSimple("forced")
+        def failing(model, x, solved=None):
+            gradients.append(x)
+            raise NonConvergence("forced")
 
         def recorded(model, x, vectors):
-            asked.append((len(failures), vectors))
+            asked.append(vectors)
             return re_with_eig(model, x, vectors)
 
-        def counted(a):
-            eigs.append(a)
-            return eig(a)
-
-        monkeypatch.setattr(frontier, "_atom_gradients", non_simple)
+        monkeypatch.setattr(frontier, "_atom_gradients", failing)
         monkeypatch.setattr(frontier, "_re_with_eig", recorded)
-        monkeypatch.setattr(np.linalg, "eig", counted)
         model = random_model(np.random.default_rng(9), 5)
-
-        def project(x):
-            return _project_budget(x, model.weights, 0.5 * model.weights.sum(), "ge")
-
+        project = frontier._Halfspace(model.weights, 0.5 * model.weights.sum())
         x0 = np.random.default_rng(3).random(5)
-        frontier._pgd(model, project, x0, maximize=False, max_iter=40)
-        assert len(failures) == 2
-        assert [vectors for _, vectors in asked] == [hits < 2 for hits, _ in asked]
-        assert len(eigs) == sum(vectors for _, vectors in asked) < len(asked)
+        fx, x = frontier._pgd(model, project, x0, maximize=False, max_iter=40)
+        start = project(x0)
+        np.testing.assert_array_equal(x, start)
+        assert fx == effective_re(model, Strategy(start))
+        assert len(gradients) == 1
+        assert asked and all(asked)
 
     def test_cycle_sweep_takes_no_finite_differences(self, monkeypatch):
         # The 12-cycle's Pareto iterates sit on tied top eigenvalues, where the
-        # symmetric route gives the top eigenvector's generalized gradient.
-        calls = []
-        fd_gradient = frontier._fd_gradient
-
-        def counted(model, eta):
-            calls.append(eta)
-            return fd_gradient(model, eta)
-
-        monkeypatch.setattr(frontier, "_fd_gradient", counted)
+        # symmetric route gives the top eigenvector's generalized gradient:
+        # no gradient fails, so no run ends early for want of one.
+        calls, failures = _record_gradients(monkeypatch)
         curve = pareto_frontier(fixtures.cycle_model(12), UNIFORM, resolution=6)
-        assert calls == []
+        assert calls and failures == []
         want = [2.0, 1.8228756555329175, 1.618033988749895, 1.3660254037844362,
                 1.0, 0.8164965809277259, 0.0]
         np.testing.assert_allclose(curve.losses(), want, rtol=1e-12, atol=1e-12)
@@ -881,17 +867,11 @@ class TestTiedAtoms:
     @pytest.mark.parametrize("effort", [TestStepRule.EFFORT, dict(resolution=16)],
                              ids=["low-effort", "resolution-16"])
     def test_two_atom_sweep_takes_no_finite_differences(self, monkeypatch, effort):
-        calls = []
-        fd_gradient = frontier._fd_gradient
-
-        def counted(model, eta):
-            calls.append(eta)
-            return fd_gradient(model, eta)
-
-        monkeypatch.setattr(frontier, "_fd_gradient", counted)
+        # No gradient fails, so no run ends early for want of one.
+        calls, failures = _record_gradients(monkeypatch)
         curve = pareto_frontier(_two_atom_model(), UNIFORM, **effort)
         assert len(curve.points) > 2
-        assert calls == []
+        assert calls and failures == []
 
     def test_no_trial_below_the_rounding_floor(self, monkeypatch):
         # From the end of a converged run, every Armijo ladder fails; each trial

@@ -341,6 +341,16 @@ class TestStrategy:
         ind = Strategy.indicator(4, (0, 2))
         assert list(ind.values) == [1.0, 0.0, 1.0, 0.0]
 
+    @pytest.mark.parametrize("kept", [[-1], [3], [0.5], [1.0], [True]],
+                             ids=["negative", "past-the-end", "fraction", "float", "bool"])
+    def test_indicator_rejects_bad_indices(self, kept):
+        with pytest.raises(ValidationError):
+            Strategy.indicator(3, kept)
+
+    def test_indicator_takes_any_integer_sequence(self):
+        for kept in (range(1, 3), np.array([1, 2]), [np.int32(2), 1, 1]):
+            assert list(Strategy.indicator(3, kept).values) == [0.0, 1.0, 1.0]
+
     def test_range_validation(self):
         for values, message in (
             ([0.5, 1.2], "must lie in"), ([-0.1, 0.5], "must lie in"),

@@ -31,6 +31,7 @@ from vaxfront import (
 from vaxfront import fixtures, spectral
 from vaxfront.acceptance import random_convex_model, random_model, random_rank_one
 from vaxfront.spectral import _DENSE_CUTOFF, _power_block
+from vaxfront.structure import _atom_submodel
 
 K_SADDLE = np.array([[16.0, 12.0, 11.0], [1.0, 12.0, 12.0], [8.0, 1.0, 1.0]])
 K_SINGLE = np.array([[9.0, 13.0, 14.0], [18.0, 6.0, 5.0], [1.0, 6.0, 6.0]])
@@ -389,6 +390,31 @@ class TestGradient:
                 assert abs(grad[j] - fd) <= 1e-5
             checked += 1
 
+
+class TestEffectiveAtoms:
+    """A tie that the eigensolver does not keep apart, at a strategy with
+    zeros: the rows are those of the components of K on {x > 0}."""
+
+    def test_draw_tie_takes_each_components_row(self):
+        # A Pareto iterate of the solver's 5-group irreducible panel draw.
+        # With group 2 at zero, K on the others splits into {0, 3} and
+        # {1, 4}, whose radii the full eig finds tied within 1e-8.
+        rng = np.random.default_rng([2110_12693, 1])
+        atoms = ()
+        while len(atoms) != 1 or len(atoms[0]) != 5:
+            model = random_model(rng, 5, density=0.5)
+            atoms = frobenius_decompose(model).atoms
+        x = np.array([float.fromhex(h) for h in (
+            "0x1.0000000000000p+0", "0x1.4008bb9d100d4p-1", "0x0.0p+0",
+            "0x1.260c35f32c0f5p-1", "0x1.0000000000000p+0")])
+        rows = spectral._atom_gradients(model, x)
+        assert sorted(tuple(np.flatnonzero(row)) for row in rows) == [(0, 3), (1, 4)]
+        for row in rows:
+            block = np.flatnonzero(row)
+            sub, _ = _atom_submodel(model, CostFunction.uniform(), block)
+            want = re_gradient(sub, Strategy(x[block]))
+            np.testing.assert_allclose(row[block], want, rtol=0, atol=1e-10)
+        np.testing.assert_array_equal(re_gradient(model, Strategy(x)), rows[0])
 
 def _tied_top_cases():
     """Exactly tied top eigenvalues on the symmetric route: the 12-cycle with

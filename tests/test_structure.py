@@ -68,6 +68,19 @@ class TestIsInvariant:
         with pytest.raises(ValidationError):
             is_invariant(model_of(np.ones((3, 3))), subset)
 
+    @pytest.mark.parametrize("subset", [[1.9], [True], [1.0], [np.float64(1.0)]],
+                             ids=["fraction", "bool", "float", "numpy-float"])
+    def test_indices_must_be_integers(self, subset):
+        # Group 1 alone is invariant here; a misread index would test it.
+        model = model_of([[1.0, 0.0], [1.0, 2.0]])
+        with pytest.raises(ValidationError):
+            is_invariant(model, subset)
+
+    def test_numpy_integer_indices(self):
+        model = model_of([[1.0, 0.0], [1.0, 2.0]])
+        assert is_invariant(model, np.array([1]))
+        assert not is_invariant(model, [np.int64(0)])
+
     def test_cycle_arc_not_invariant(self):
         assert not is_invariant(fixtures.cycle_model(), [0, 1, 2])
 

@@ -118,9 +118,9 @@ def failed_run():
     return {"correct": False, "failed": None, "metrics": {}, "error": "boom"}
 
 
-def _panel_point(kind, cost, loss, re=0, grad=0, fd=0, eig=0, model="m"):
+def _panel_point(kind, cost, loss, re=0, grad=0, stop=0, fd=0, eig=0, model="m"):
     return {"model": model, "kind": kind, "cost": cost, "loss": loss,
-            "re": re, "grad": grad, "fd": fd, "eig": eig}
+            "re": re, "grad": grad, "stop": stop, "fd": fd, "eig": eig}
 
 
 class TestSolverPanel:
@@ -133,7 +133,7 @@ class TestSolverPanel:
         base = [
             _panel_point("pareto", 0.0, 2.0),
             _panel_point("pareto", 0.5, 1.0, re=10, grad=4, eig=15),
-            _panel_point("pareto", 0.75, 0.5, re=8, grad=2, fd=1, eig=11),
+            _panel_point("pareto", 0.75, 0.5, re=8, grad=2, stop=2, fd=1, eig=11),
             _panel_point("pareto", 1.0, 0.0),
             _panel_point("anti", 0.5, 1.5, re=6, grad=3),
             _panel_point("anti", 0.75, 1.25),
@@ -157,12 +157,13 @@ class TestSolverPanel:
         assert pareto["unpaired"] == 1 and anti["unpaired"] == 0
         assert pareto["largest_worsening"] is None
         assert anti["largest_worsening"]["cost"] == 0.5
-        assert pareto["base_calls"] == {"re": 18, "grad": 6, "fd": 1, "eig": 26}
-        assert pareto["change_calls"] == {"re": 9, "grad": 4, "fd": 0, "eig": 9}
+        assert pareto["base_calls"] == {"re": 18, "grad": 6, "stop": 2, "fd": 1, "eig": 26}
+        assert pareto["change_calls"] == {"re": 9, "grad": 4, "stop": 0, "fd": 0, "eig": 9}
         rows = report(result).splitlines()
-        assert rows[0].endswith("| old R_e/grad/fd/eig | new R_e/grad/fd/eig |")
-        assert rows[3].endswith("| 10/4/0/15 | 5/2/0/5 |")
-        assert "; calls R_e/grad/fd/eig 18/6/1/26 -> 9/4/0/9; " in rows[-2]
+        assert rows[0].endswith("| old R_e/grad/stop/fd/eig | new R_e/grad/stop/fd/eig |")
+        assert rows[3].endswith("| 10/4/0/0/15 | 5/2/0/0/5 |")
+        assert rows[4].endswith("| 8/2/2/1/11 | 4/2/0/0/4 |")
+        assert "; calls R_e/grad/stop/fd/eig 18/6/2/1/26 -> 9/4/0/0/9; " in rows[-2]
 
     def test_summary_lists_models_with_finite_differences(self):
         base = [
@@ -189,6 +190,27 @@ class TestSolverPanel:
         assert lines[-2].endswith(
             "finite differences by model cycle 5 -> 0, draw 4 -> 5, convex 0 -> 1")
         assert lines[-1].endswith("finite differences by model none")
+
+    def test_summary_lists_models_with_failed_gradients(self):
+        base = [
+            _panel_point("pareto", 0.5, 1.0, stop=2, fd=6, model="draw"),
+            _panel_point("pareto", 0.5, 1.0, model="convex"),
+            _panel_point("anti", 0.5, 1.5, model="draw"),
+        ]
+        change = [
+            _panel_point("pareto", 0.5, 1.0, model="draw"),
+            _panel_point("pareto", 0.5, 1.0, stop=1, model="convex"),
+            _panel_point("anti", 0.5, 1.5, model="draw"),
+        ]
+        result = compare(base, change)
+        pareto, anti = result["summary"]["pareto"], result["summary"]["anti"]
+        assert pareto["stop_models"] == {"draw": {"base": 2, "change": 0},
+                                         "convex": {"base": 0, "change": 1}}
+        assert anti["stop_models"] == {}
+        lines = report(result).splitlines()
+        assert ("; failed gradients by model draw 2 -> 0, convex 0 -> 1; "
+                "finite differences by model draw 6 -> 0") in lines[-2]
+        assert "; failed gradients by model none; " in lines[-1]
 
 
 class TestSpread:

@@ -20,14 +20,17 @@ Per point it reports the cost, the old and new loss, the signed gain
 towards the curve's objective (lower loss on the Pareto side, higher on the
 anti side) with its verdict (``bench_pair.judge``) and, old and new, the
 calls that the solve of that budget made: in the projected-gradient loop,
-R_e evaluations, eigenvector gradients (whole matrix or per tied atom) and
-finite-difference gradients, and in all, eigen-solves (calls of
+R_e evaluations, eigenvector gradients (whole matrix or per tied atom),
+the gradient calls that raise, each of which ends its run, and
+finite-difference gradients, which revisions before their removal took in
+place of a failed gradient; and in all, eigen-solves (calls of
 ``np.linalg.eig``, ``eigvals``, ``eigh`` and ``eigvalsh``, a batched call
 counting once).  Endpoints have no solve.  Points pair by cost.
 A summary per side follows: moved points by verdict, the largest worsening,
 the total calls, the summed area under the curves, and each model whose
-sweep makes finite-difference gradients on either side, with the count on
-each side.  ``--out`` also writes every point as JSON.
+sweep has failed gradients, or makes finite-difference gradients, on either
+side, with the count on each side.  ``--out`` also writes every point as
+JSON.
 """
 
 from __future__ import annotations
@@ -57,10 +60,12 @@ DRAW_DENSITY = 0.5
 PANEL_SEED = 2110_12693
 # The solver's calls, looked up by ``_pgd`` in the frontier module, and the
 # eigen-solves, looked up in ``np.linalg``; a name that a revision does not
-# have is not counted there.
+# have is not counted there.  "stop" patches no name: it counts the "grad"
+# calls that raise.
 COUNTED = {
     "re": ("_matrix_re", "_re_with_eig"),
     "grad": ("re_gradient", "_atom_gradients"),
+    "stop": (),
     "fd": ("_fd_gradient",),
     "eig": ("eig", "eigvals", "eigh", "eigvalsh"),
 }
@@ -107,7 +112,12 @@ def side_points(root: str, resolution: int) -> list[dict]:
 
             def counted(*args, _key=key, _original=original, **kw):
                 counts[_key] += 1
-                return _original(*args, **kw)
+                try:
+                    return _original(*args, **kw)
+                except Exception:
+                    if _key == "grad":
+                        counts["stop"] += 1
+                    raise
 
             setattr(module, name, counted)
     by_cost = {}
@@ -173,7 +183,7 @@ def compare(base: list[dict], change: list[dict]) -> dict:
         entry["unpaired"] = (sum(p["kind"] == kind for p in base)
                              + sum(p["kind"] == kind for p in change) - 2 * len(mine))
         entry["largest_worsening"] = min(worse, key=lambda r: r["gain"], default=None)
-        fd_models = {}
+        by_model = {"stop": {}, "fd": {}}
         for side, points in (("base", base), ("change", change)):
             own = [p for p in points if p["kind"] == kind]
             entry[f"{side}_calls"] = {k: sum(p[k] for p in own) for k in COUNTED}
@@ -181,18 +191,23 @@ def compare(base: list[dict], change: list[dict]) -> dict:
             entry[f"{side}_area"] = math.fsum(
                 area([p for p in own if p["model"] == m]) for m in models
             )
-            for p in own:
-                if p["fd"]:
-                    counts = fd_models.setdefault(p["model"], {"base": 0, "change": 0})
-                    counts[side] += p["fd"]
-        entry["fd_models"] = fd_models
+            for key, tally in by_model.items():
+                for p in own:
+                    if p[key]:
+                        counts = tally.setdefault(p["model"], {"base": 0, "change": 0})
+                        counts[side] += p[key]
+        entry["stop_models"], entry["fd_models"] = by_model["stop"], by_model["fd"]
         summary[kind] = entry
     return {"points": rows, "summary": summary}
 
 
+def _by_model(tally: dict) -> str:
+    return ", ".join(f"{m} {c['base']} -> {c['change']}" for m, c in tally.items()) or "none"
+
+
 def report(result: dict) -> str:
     lines = ["| model | side | cost | old loss | new loss | gain | verdict | "
-             "old R_e/grad/fd/eig | new R_e/grad/fd/eig |", "|---" * 9 + "|"]
+             "old R_e/grad/stop/fd/eig | new R_e/grad/stop/fd/eig |", "|---" * 9 + "|"]
     for r in result["points"]:
         old = "/".join(str(r[f"base_{k}"]) for k in COUNTED)
         new = "/".join(str(r[f"change_{k}"]) for k in COUNTED)
@@ -203,15 +218,14 @@ def report(result: dict) -> str:
         worst = s["largest_worsening"]
         lines.append(
             f"{kind}: {s['same']} same, {s['rounding']} rounding, {s['better']} better, "
-            f"{s['worse']} worse, {s['unpaired']} unpaired; calls R_e/grad/fd/eig "
+            f"{s['worse']} worse, {s['unpaired']} unpaired; calls R_e/grad/stop/fd/eig "
             f"{'/'.join(str(v) for v in s['base_calls'].values())} -> "
             f"{'/'.join(str(v) for v in s['change_calls'].values())}; area "
             f"{s['base_area']:.6f} -> {s['change_area']:.6f}; largest worsening "
             + (f"{worst['gain']:+.3g} ({worst['model']} at c = {worst['cost']:.6g})"
                if worst else "none")
-            + "; finite differences by model "
-            + (", ".join(f"{m} {c['base']} -> {c['change']}"
-                         for m, c in s["fd_models"].items()) or "none")
+            + f"; failed gradients by model {_by_model(s['stop_models'])}"
+            + f"; finite differences by model {_by_model(s['fd_models'])}"
         )
     return "\n".join(lines)
 
