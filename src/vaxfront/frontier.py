@@ -36,10 +36,11 @@ of R_e.
 Each side's public single-budget solve is its checks plus one driver,
 ``_minimize`` or ``_maximize``; each sweep computes its invariants (the
 convexity verdict and the atom count among them) once and calls the driver.
-Both sides share one budget check, one multistart loop and one monotone
-sweep, which warm-starts each budget from the previous point and keeps that
-point when a solve does worse.  The reducible assembly builds both sides
-from strategies: each point is the cost and R_e of its own.
+Both sides share one budget check, one feasible-set type (``_Halfspace``),
+one start list (less all zeros on the anti side), one multistart loop and one
+monotone sweep, which warm-starts each budget from the previous point and
+keeps that point when a solve does worse.  The reducible assembly builds
+both sides from strategies: each point is the cost and R_e of its own.
 """
 
 from __future__ import annotations
@@ -143,16 +144,17 @@ class _Halfspace:
 
     w: np.ndarray
     b: float
+    sense: str = "ge"  # "le" cuts by {w . eta <= b}
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return _project_budget(x, self.w, self.b, "ge")
+        return _project_budget(x, self.w, self.b, self.sense)
 
 
 def _hull_direction(grads: np.ndarray, x: np.ndarray,
                     feasible: _Halfspace) -> np.ndarray:
     """The minimum-norm point of the convex hull of the rows of ``grads``,
     each first projected onto the constraints active at ``x``; a lone
-    gradient as it is.
+    gradient as it is.  ``feasible`` is the minimizing side's ``'ge'`` set.
 
     The active constraints are the budget hyperplane and every coordinate
     on a bound that the hull point pushes outward, both within
@@ -217,11 +219,11 @@ def _pgd(model, project, x0, maximize, max_iter=PGD_ITERATION_CAP,
     zeros can cut one atom of K into several: the maximizing side takes the
     top row, the whole-matrix gradient; the minimizing side, where R_e is
     the largest atom radius with a kink wherever two radii tie, the
-    ``_hull_direction`` of the rows (``project`` is then a ``_Halfspace``),
-    which lowers the tied radii together where one gradient would zigzag
-    across the kink.  On a general K of at most ``spectral._DENSE_CUTOFF``
-    groups each visited point, the start and every Armijo trial, is solved
-    once: one ``eig`` of K diag(x) gives R_e (``_re_with_eig``), and the
+    ``_hull_direction`` of the rows on the ``_Halfspace`` ``project``, which
+    lowers the tied radii together where one gradient would zigzag across the
+    kink.  On a general K of at most ``spectral._DENSE_CUTOFF`` groups each
+    visited point, the start and every Armijo trial, is solved once: one
+    ``eig`` of K diag(x) gives R_e (``_re_with_eig``), and the
     gradient at an accepted point reuses it; the several-atom minimizing
     side does so only up to ``_HULL_EIG_GROUPS`` groups.  Where no ``eig``
     is at hand for a K with at most one atom (``single_atom``) or for the
@@ -377,11 +379,12 @@ def _single_atom(model: MetapopModel) -> bool:
     return len(_atoms(model, 0.0)[2]) <= 1
 
 
-def _min_starts(n: int, project, count: int = MULTISTARTS) -> list[np.ndarray]:
-    """The centre, all-ones and all-zeros starts, then seeded random ones."""
+def _min_starts(n: int, count: int) -> list[np.ndarray]:
+    """The centre, all-ones and all-zeros starts, then seeded random ones,
+    unprojected: the anti side drops all zeros by its position."""
     fixed = (np.full(n, 0.5), np.ones(n), np.zeros(n))
     rng = np.random.default_rng(_STARTS_SEED) if count > 3 else None
-    return [project(fixed[k] if k < 3 else rng.random(n)) for k in range(count)]
+    return [fixed[k] if k < 3 else rng.random(n) for k in range(count)]
 
 
 def _budget(model: MetapopModel, cost_fn: CostFunction, c: float):
@@ -431,33 +434,28 @@ def optimal_loss(
         return OptimalPoint(cost=c, loss=0.0, strategy=zero, status="Converged")
     erad = eradication_cost(model, cost_fn)
     return _minimize(
-        model, w, cmax - c, c, _is_convex(model), _single_atom(model), erad,
-        extra_starts, starts, max_iter, window_tol,
+        model, _Halfspace(w, cmax - c), c, _is_convex(model), _single_atom(model),
+        erad, extra_starts, starts, max_iter, window_tol,
     )
 
 
-def _minimize(model, w, b, c, convex, single_atom, erad, extra_starts, starts,
+def _minimize(model, project, c, convex, single_atom, erad, extra_starts, starts,
               max_iter, window_tol) -> OptimalPoint:
-    """``optimal_loss`` after its checks, on {w . eta >= b} with b > 0."""
-
-    project = _Halfspace(w, b)
+    """``optimal_loss`` after its checks, on the ``_Halfspace`` ``project``,
+    {w . eta >= b} with b > 0."""
     start_points = [project(np.asarray(s, dtype=float)) for s in extra_starts]
     # The eradicating strategy is the one known point with loss exactly
     # zero; when it fits the budget the solve is settled, and otherwise its
     # projection is a strong start near the eradication end.
     if erad.cstar <= c + 1e-15:
-        return OptimalPoint(
-            cost=c, loss=0.0, strategy=erad.strategy, status="Converged"
-        )
+        return OptimalPoint(c, 0.0, erad.strategy, "Converged")
     start_points.append(project(erad.strategy.values))
-    start_points += _min_starts(model.n, project, 1 if convex else starts)
+    start_points += map(project, _min_starts(model.n, 1 if convex else starts))
     best = _multistart(
         model, project, start_points, False, None, max_iter, window_tol, single_atom
     )
     status = "Converged" if convex else "MultiStartBest"
-    return OptimalPoint(
-        cost=c, loss=float(best[0]), strategy=Strategy(best[1]), status=status
-    )
+    return OptimalPoint(c, float(best[0]), Strategy(best[1]), status)
 
 
 def _vertex_maximum(model, w, budget):
@@ -535,34 +533,34 @@ def optimal_loss_max(
     if cmax - c <= 0:  # all zeros is the only feasible strategy
         return OptimalPoint(c, 0.0, Strategy.zeros(model.n), "VertexEnumerated")
     convex = model.n <= VERTEX_BUDGET and _is_convex(model)
-    return _maximize(model, w, cmax - c, c, r0, convex, _single_atom(model),
-                     extra_starts, starts, max_iter, window_tol)
+    return _maximize(model, _Halfspace(w, cmax - c, "le"), c, r0, convex,
+                     _single_atom(model), extra_starts, starts, max_iter, window_tol)
 
 
-def _maximize(model, w, budget, c, r0, convex, single_atom, extra_starts, starts,
+def _maximize(model, project, c, r0, convex, single_atom, extra_starts, starts,
               max_iter, window_tol) -> OptimalPoint:
-    """``optimal_loss_max`` after its checks, on {w . eta <= budget} with budget > 0."""
+    """``optimal_loss_max`` after its checks, on the ``_Halfspace`` ``project``,
+    {w . eta <= b} with b > 0.  No ascent starts at all zeros, where R_e is 0
+    with no gradient; where R_0 is 0, all strategies tie at 0 and the tie
+    rule takes all zeros."""
     best = None
     if model.n <= VERTEX_BUDGET:
-        best = _vertex_maximum(model, w, budget)
+        best = _vertex_maximum(model, project.w, project.b)
         # Monotonicity bounds every feasible loss by R_0, so hitting it
         # certifies the enumeration even without convexity.
         if convex or best[0] >= r0 - 1e-12 * max(1.0, r0):
             return OptimalPoint(c, best[0], Strategy(best[1]), "VertexEnumerated")
-
-    def project(x):
-        return _project_budget(x, w, budget, "le")
-
+    if r0 == 0.0:
+        return OptimalPoint(c, 0.0, Strategy.zeros(model.n), "MultiStartBest")
     start_points = [project(np.asarray(s, dtype=float)) for s in extra_starts]
     if best is not None:
         start_points.append(best[1])
-    start_points += _min_starts(model.n, project, starts)
+    raw = _min_starts(model.n, starts)
+    start_points += map(project, raw[:2] + raw[3:])
     best = _multistart(
         model, project, start_points, True, best, max_iter, window_tol, single_atom
     )
-    return OptimalPoint(
-        cost=c, loss=float(best[0]), strategy=Strategy(best[1]), status="MultiStartBest"
-    )
+    return OptimalPoint(c, float(best[0]), Strategy(best[1]), "MultiStartBest")
 
 
 def _sweep(first: OptimalPoint, budgets, solve, maximize: bool) -> list[OptimalPoint]:
@@ -648,8 +646,8 @@ def pareto_frontier(
     # standalone solve cost.
     def solve(c, extra):
         return _minimize(
-            model, w, cmax - c, c, convex, single_atom, erad, extra, starts,
-            max_iter, window_tol,
+            model, _Halfspace(w, cmax - c), c, convex, single_atom, erad, extra,
+            starts, max_iter, window_tol,
         )
 
     points = _sweep(
@@ -717,8 +715,8 @@ def anti_pareto_frontier(
 
     def solve(c, extra):
         return _maximize(
-            model, w, cmax - c, c, r0, convex, single_atom, extra, starts,
-            max_iter, window_tol,
+            model, _Halfspace(w, cmax - c, "le"), c, r0, convex, single_atom, extra,
+            starts, max_iter, window_tol,
         )
 
     budgets = [
@@ -775,7 +773,6 @@ def assemble_reducible(
         raise ValidationError("assembly needs at least one atom")
     n = model.n
     r0 = effective_re(model, Strategy.ones(n))
-    coef = cost_fn.coefficient_vector(n)
     effort = dict(starts=starts, max_iter=max_iter, window_tol=window_tol)
 
     per_atom = []
@@ -784,8 +781,7 @@ def assemble_reducible(
         sub_model, sub_cost = _atom_submodel(model, cost_fn, atom)
         sub_pareto = pareto_frontier(sub_model, sub_cost, resolution, **effort)
         sub_anti = anti_pareto_frontier(sub_model, sub_cost, resolution, **effort)
-        outside = sorted(set(range(n)) - set(atom))
-        shift = math.fsum((coef[outside] * model.weights[outside]).tolist())
+        shift = cost(cost_fn, model, Strategy.indicator(n, atom))
         per_atom.append((atom, sub_pareto, sub_anti))
         subs.append((sub_model, sub_cost, shift, sub_pareto.points[0].loss))
 

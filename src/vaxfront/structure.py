@@ -182,11 +182,11 @@ def cordon_improvement(
     side carrying the larger effective radius and fully vaccinates the other,
     producing a strictly more expensive strategy with the same R_e.
     """
-    if not is_disconnecting(model, eta, threshold):
-        raise NotDisconnecting("strategy does not disconnect the support")
     support = np.where(eta.values > 0)[0]
     sub = model.matrix[np.ix_(support, support)]
-    _, sccs = support_components(sub, threshold)
+    sccs = support_components(sub, threshold)[1] if support.size else []
+    if len(sccs) <= 1:
+        raise NotDisconnecting("strategy does not disconnect the support")
     # Tarjan finishes a source last: no other component infects it.
     side_b = set(support[v] for v in sccs[-1])
     side_a = set(support.tolist()) - side_b

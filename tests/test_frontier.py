@@ -39,7 +39,7 @@ from vaxfront.acceptance import (
     random_model,
     random_rank_one,
 )
-from vaxfront.frontier import _project_budget, _vertex_maximum
+from vaxfront.frontier import VERTEX_BUDGET, _project_budget, _vertex_maximum
 
 UNIFORM = CostFunction.uniform()
 
@@ -151,6 +151,21 @@ class TestOptimalLossMax:
         monkeypatch.setattr(frontier, "_is_convex", refuse)
         solved = optimal_loss_max(model, UNIFORM, 0.3)
         assert solved.status == "MultiStartBest"
+
+    def test_nilpotent_past_the_vertex_budget(self, monkeypatch):
+        # R_0 = 0 caps every feasible loss at 0; all zeros wins the tie, as it
+        # did when the ascent started there, and no ascent runs.
+        n = VERTEX_BUDGET + 4
+        matrix = np.triu(np.random.default_rng(4).random((n, n)), 1)
+        model = MetapopModel(weights=np.full(n, 1.0 / n), matrix=matrix)
+
+        def refuse(*args, **kw):
+            raise AssertionError("every strategy scores 0")
+
+        monkeypatch.setattr(frontier, "_pgd", refuse)
+        solved = optimal_loss_max(model, UNIFORM, 0.3)
+        assert (solved.loss, solved.status) == (0.0, "MultiStartBest")
+        np.testing.assert_array_equal(solved.strategy.values, np.zeros(n))
 
     def test_gradient_lower_bounds_vertex(self):
         # The ascent starts from the best vertex, so it cannot fall below
@@ -486,6 +501,19 @@ class TestProjectBudget:
         b = frac * float(w.sum())
         _assert_projection_certificate(x, w, b, sense, _project_budget(x, w, b, sense))
 
+    @pytest.mark.parametrize("sense", ["ge", "le"])
+    def test_halfspace_projects_by_its_sense(self, sense):
+        rng = np.random.default_rng(23)
+        for n in range(1, 13):
+            x = rng.uniform(-2.0, 3.0, n)
+            w = rng.uniform(0.01, 10.0, n)
+            b = rng.random() * float(w.sum())
+            feasible = frontier._Halfspace(w, b, sense)
+            want = _project_budget(x, w, b, sense)
+            assert feasible(x).tobytes() == want.tobytes()
+            if sense == "ge":
+                assert frontier._Halfspace(w, b)(x).tobytes() == want.tobytes()
+
     def test_target_on_a_zero_slope_segment(self):
         # Past t = 0.85 every coordinate but the last sits at 1 and the last
         # enters at t = 4.05, so phi stays at 2.2 in between.  The slope the
@@ -526,9 +554,7 @@ class TestMultistart:
         # minimization does not stop at its first start.
         sense, b = ("le", 0.3) if maximize else ("ge", 0.7)
 
-        def project(x):
-            return _project_budget(x, w, b, sense)
-
+        project = frontier._Halfspace(w, b, sense)
         zero, centre = project(np.zeros(model.n)), project(np.full(model.n, 0.5))
         args = (model, project)
         distinct = frontier._multistart(*args, [zero, centre], maximize, None, 40, 1e-9)
@@ -936,6 +962,26 @@ class TestAntiParetoFrontier:
         curve = anti_pareto_frontier(fixtures.cycle_model(), UNIFORM, resolution=16)
         assert np.all(np.diff(curve.losses()) <= 1e-12)
 
+    def test_no_ascent_from_all_zeros(self, monkeypatch):
+        # At a positive budget R_e is 0 at all zeros, with no gradient there:
+        # a run from it cannot win, so none starts there.
+        starts = []
+        original = frontier._pgd
+
+        def recorded(model, project, x0, **kw):
+            starts.append(x0)
+            return original(model, project, x0, **kw)
+
+        monkeypatch.setattr(frontier, "_pgd", recorded)
+        anti_pareto_frontier(fixtures.cycle_model(8), UNIFORM, resolution=8)
+        swept = len(starts)
+        rng = np.random.default_rng(52)
+        w = 0.2 + rng.random(21)
+        model = MetapopModel(weights=w / math.fsum(w.tolist()), matrix=rng.random((21, 21)))
+        optimal_loss_max(model, UNIFORM, 0.3)
+        assert 0 < swept < len(starts)
+        assert not any((x0 == 0.0).all() for x0 in starts)
+
 
 @st.composite
 def small_models(draw):
@@ -1057,6 +1103,12 @@ class TestAssembleReducible:
         direct_anti = anti_pareto_frontier(model, UNIFORM, resolution=8)
         for point in direct_anti.points:
             assert abs(assembled.anti.loss_at(point.cost) - point.loss) <= slack
+
+    def test_no_atom_refused(self):
+        matrix = np.triu(np.ones((3, 3)), 1)
+        model = MetapopModel(weights=np.full(3, 1.0 / 3.0), matrix=matrix)
+        with pytest.raises(ValidationError, match="atom"):
+            assemble_reducible(model, UNIFORM, resolution=4)
 
     def test_monatomic_assembly_is_identity(self):
         model = fixtures.cycle_model()

@@ -10,6 +10,7 @@ from vaxfront import (
     CostFunction,
     MetapopModel,
     Strategy,
+    ValidationError,
     cost,
     effective_re,
     eradication_cost,
@@ -435,6 +436,11 @@ class TestEradicationCost:
                   for n in (3, 5)]
         assert min(counts) > 0
         assert eradication_cost(model_of(both), UNIFORM).nodes == sum(counts)
+
+    def test_residual_above_tolerance_refused(self, monkeypatch):
+        monkeypatch.setattr(independent, "effective_re", lambda model, eta: 2e-10)
+        with pytest.raises(ValidationError, match="above 1e-10"):
+            eradication_cost(fixtures.cycle_model(), UNIFORM)
 
     def test_strategy_matches_set(self):
         result = eradication_cost(fixtures.cycle_model(), UNIFORM)

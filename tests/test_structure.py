@@ -211,6 +211,11 @@ class TestCordonImprovement:
         model = model_of(np.ones((3, 3)))
         with pytest.raises(NotDisconnecting):
             cordon_improvement(model, Strategy.ones(3), UNIFORM)
+        # An empty support is connected before its threshold is read, as in
+        # ``is_disconnecting``.
+        for threshold in (0.0, math.nan):
+            with pytest.raises(NotDisconnecting):
+                cordon_improvement(model, Strategy.zeros(3), UNIFORM, threshold)
 
     def test_certificate_property(self):
         rng = np.random.default_rng(25)
