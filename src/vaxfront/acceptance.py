@@ -416,7 +416,6 @@ def _match_spectra(full, parts, rho, failures, label):
 def criterion_reducibility():
     failures = []
     rng = np.random.default_rng(8)
-    frontier_budget = 200
     for trial in range(200):
         model, blocks = random_block_upper_model(rng)
         k = model.matrix
@@ -447,41 +446,40 @@ def criterion_reducibility():
         parts.extend([0.0] * (n - len(parts)))
         _match_spectra(full, parts, r0, failures, f"trial {trial}")
 
-        if trial < frontier_budget:
-            resolution = 4
-            effort = dict(starts=3, max_iter=80, window_tol=3e-7)
-            assembled = assemble_reducible(
-                model, UNIFORM, resolution=resolution, **effort
+        resolution = 4
+        effort = dict(starts=3, max_iter=80, window_tol=3e-7)
+        assembled = assemble_reducible(
+            model, UNIFORM, resolution=resolution, **effort
+        )
+        direct_curve = pareto_frontier(
+            model, UNIFORM, resolution=resolution, **effort
+        )
+        grid_step = max(
+            np.diff(direct_curve.costs()).max(),
+            np.diff(assembled.pareto.costs()).max() if len(assembled.pareto.points) > 1 else 0.0,
+        )
+        slopes = np.abs(
+            np.diff(direct_curve.losses()) / np.maximum(np.diff(direct_curve.costs()), 1e-12)
+        )
+        lipschitz = max(slopes.max() if slopes.size else 0.0, 1.0)
+        slack = 2.0 * grid_step * lipschitz + 1e-9
+        for point in direct_curve.points:
+            gap = assembled.pareto.loss_at(point.cost) - point.loss
+            _check(
+                abs(gap) <= slack,
+                failures,
+                f"trial {trial}: pareto assembly gap {gap} at cost {point.cost}",
             )
-            direct_curve = pareto_frontier(
-                model, UNIFORM, resolution=resolution, **effort
+        direct_anti = anti_pareto_frontier(
+            model, UNIFORM, resolution=resolution, **effort
+        )
+        for point in direct_anti.points:
+            gap = assembled.anti.loss_at(point.cost) - point.loss
+            _check(
+                abs(gap) <= slack,
+                failures,
+                f"trial {trial}: anti assembly gap {gap} at cost {point.cost}",
             )
-            grid_step = max(
-                np.diff(direct_curve.costs()).max(),
-                np.diff(assembled.pareto.costs()).max() if len(assembled.pareto.points) > 1 else 0.0,
-            )
-            slopes = np.abs(
-                np.diff(direct_curve.losses()) / np.maximum(np.diff(direct_curve.costs()), 1e-12)
-            )
-            lipschitz = max(slopes.max() if slopes.size else 0.0, 1.0)
-            slack = 2.0 * grid_step * lipschitz + 1e-9
-            for point in direct_curve.points:
-                gap = assembled.pareto.loss_at(point.cost) - point.loss
-                _check(
-                    abs(gap) <= slack,
-                    failures,
-                    f"trial {trial}: pareto assembly gap {gap} at cost {point.cost}",
-                )
-            direct_anti = anti_pareto_frontier(
-                model, UNIFORM, resolution=resolution, **effort
-            )
-            for point in direct_anti.points:
-                gap = assembled.anti.loss_at(point.cost) - point.loss
-                _check(
-                    abs(gap) <= slack,
-                    failures,
-                    f"trial {trial}: anti assembly gap {gap} at cost {point.cost}",
-                )
         if len(failures) > 3:
             return failures
     return failures

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import MetapopModel, SymmetrizabilityResult, _check_int
-from .spectral import effective_re_batch, inertia, spectral_radius
+from .spectral import _lapack, effective_re_batch, inertia, spectral_radius
 
 WITNESS_GAP = 1e-6
 LINEAR_GAP = 1e-12
@@ -56,7 +56,7 @@ class ConvexityVerdict:
 
 
 def _matrix_rank_one(k: np.ndarray) -> bool:
-    s = np.linalg.svd(k, compute_uv=False)
+    s = _lapack(np.linalg.svd, k, compute_uv=False)
     return s.size == 1 or s[1] <= 1e-10 * max(s[0], 1e-300)
 
 

@@ -541,8 +541,9 @@ def _maximize(model, project, c, r0, convex, single_atom, extra_starts, starts,
               max_iter, window_tol) -> OptimalPoint:
     """``optimal_loss_max`` after its checks, on the ``_Halfspace`` ``project``,
     {w . eta <= b} with b > 0.  No ascent starts at all zeros, where R_e is 0
-    with no gradient; where R_0 is 0, all strategies tie at 0 and the tie
-    rule takes all zeros."""
+    with no gradient, nor at a best vertex that scores 0, which stays the
+    incumbent; where R_0 is 0, all strategies tie at 0 and the tie rule
+    takes all zeros."""
     best = None
     if model.n <= VERTEX_BUDGET:
         best = _vertex_maximum(model, project.w, project.b)
@@ -553,7 +554,7 @@ def _maximize(model, project, c, r0, convex, single_atom, extra_starts, starts,
     if r0 == 0.0:
         return OptimalPoint(c, 0.0, Strategy.zeros(model.n), "MultiStartBest")
     start_points = [project(np.asarray(s, dtype=float)) for s in extra_starts]
-    if best is not None:
+    if best is not None and best[0] > 0.0:
         start_points.append(best[1])
     raw = _min_starts(model.n, starts)
     start_points += map(project, raw[:2] + raw[3:])

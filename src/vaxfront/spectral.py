@@ -10,7 +10,8 @@ Three routes are kept deliberately:
   so its radius is its top eigenvalue.  ``effective_re``, its batch and the
   solver take it with ``eigvalsh``, backward stable and several times
   cheaper than general QR (above ``_DENSE_CUTOFF`` groups ``spectral_radius``
-  of S, told that S is symmetric by construction); ``dominant_pair`` maps
+  of S, whose blocks are exactly symmetric by construction and so pass its
+  transpose comparison); ``dominant_pair`` maps
   one ``eigh`` of S to the Perron pair through D^(1/2), raising
   ``NonSimple`` at a tied top.  ``re_gradient`` returns
   (M (sqrt(eta) * u))^2 / lam from the same ``eigh``'s top pair (lam, u),
@@ -53,9 +54,9 @@ the balancing step of LAPACK's QR permutes it to triangular form, so
 ``eigvals`` returns its zero diagonal.  On the symmetric route a top
 eigenvalue that is not positive gives +0.0.
 
-Every ``numpy.linalg`` call goes through ``_lapack``, so a LAPACK failure
-reaches the caller as ``NonConvergence`` naming the routine, never as
-``LinAlgError``.  Where the inverse of the eigenvector matrix fails or is
+Every ``numpy.linalg`` call in the package goes through ``_lapack`` (a test
+parses the sources for it), so a LAPACK failure reaches the caller as
+``NonConvergence`` naming the routine, never as ``LinAlgError``.  Where the inverse of the eigenvector matrix fails or is
 not finite, the left vectors come from the transpose instead; a root whose
 overlap <phi, v> is exactly 0 gets a zero gradient row and does not pass.
 """
@@ -102,11 +103,11 @@ def _validate_square(a: np.ndarray, nonnegative: bool) -> np.ndarray:
     return m
 
 
-def _lapack(solve, a):
-    """``solve(a)`` for a ``numpy.linalg`` routine ``solve``; a
+def _lapack(solve, a, **options):
+    """``solve(a, **options)`` for a ``numpy.linalg`` routine ``solve``; a
     ``LinAlgError`` is raised as ``NonConvergence`` naming the routine."""
     try:
-        return solve(a)
+        return solve(a, **options)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"{solve.__name__} failed: {exc}") from exc
 
@@ -158,22 +159,20 @@ def _symmetric_radius(s: np.ndarray) -> float:
     return top if top > 0.0 else 0.0
 
 
-def _block_radius(block: np.ndarray, symmetric: bool = False) -> float:
+def _block_radius(block: np.ndarray) -> float:
     """Spectral radius of an irreducible nonnegative block: its loop entry
     for one group, a dense eigensolver up to ``_DENSE_CUTOFF`` groups, above
     it the certified power route or, when that stalls, the dense eigensolver.
-    The dense eigensolver is ``eigvalsh`` for an exactly symmetric block and
-    QR otherwise.  ``eigvalsh`` costs on the order of n power steps (about
-    n / 2 at 200 to 400 groups), so a symmetric block gives the power route
-    n steps rather than the full cap: a fast-mixing block still closes its
-    bracket at a tenth of the eigensolver's cost, and a slow one stalls
-    within n steps and pays about two to three times the eigensolver.
-    ``symmetric=True`` says the block is known to be exactly symmetric, so
-    that it is not compared with its transpose."""
+    The dense eigensolver is ``eigvalsh`` for a block equal to its transpose
+    and QR otherwise.  ``eigvalsh`` costs on the order of n power steps
+    (about n / 2 at 200 to 400 groups), so a symmetric block gives the power
+    route n steps rather than the full cap: a fast-mixing block still closes
+    its bracket at a tenth of the eigensolver's cost, and a slow one stalls
+    within n steps and pays about two to three times the eigensolver."""
     n = block.shape[0]
     if n == 1:
         return float(block[0, 0])
-    symmetric = symmetric or np.array_equal(block, block.T)
+    symmetric = np.array_equal(block, block.T)
     if n > _DENSE_CUTOFF:
         value = _power_block(block, n if symmetric else POWER_ITERATION_CAP)
         if value is not None:
@@ -181,15 +180,13 @@ def _block_radius(block: np.ndarray, symmetric: bool = False) -> float:
     return _symmetric_radius(block) if symmetric else _dense_radius(block)
 
 
-def spectral_radius(a: np.ndarray, symmetric: bool = False) -> float:
+def spectral_radius(a: np.ndarray) -> float:
     """Spectral radius of a nonnegative matrix, exactly 0 for nilpotent input:
     the largest ``_block_radius`` over the strongly connected blocks of its
-    support.  ``symmetric=True`` says that ``a`` is known to be exactly
-    symmetric, as the symmetric route builds it; its blocks are then not
-    compared with their transposes."""
+    support."""
     m = _validate_square(a, nonnegative=True)
     _, sccs = support_components(m)
-    return max(_block_radius(m[np.ix_(comp, comp)], symmetric) for comp in sccs)
+    return max(_block_radius(m[np.ix_(comp, comp)]) for comp in sccs)
 
 
 @dataclass(frozen=True)
@@ -279,32 +276,21 @@ def _symmetrized(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (r[..., :, None] * r[..., None, :]) * m
 
 
-def _dense_general(model: MetapopModel) -> bool:
-    """Whether R_e at every strategy is dense QR on K . diag(x): the general
-    route up to ``_DENSE_CUTOFF`` groups, the one rule behind both
-    ``_matrix_re`` and the solver's ``_re_with_eig``."""
-    return model.n <= _DENSE_CUTOFF and _route(model) is None
-
-
 def _matrix_re(model: MetapopModel, x: np.ndarray) -> float:
     """R_e at the strategy values ``x``: the one route choice of
     ``effective_re``, for callers such as the solver's inner loop.
 
-    A model on the symmetric route goes to ``eigvalsh`` on its symmetrized
-    matrix up to ``_DENSE_CUTOFF`` groups, above it to ``spectral_radius``
-    of that matrix, whose symmetric blocks take ``eigvalsh`` when the power
-    route does not close within n steps; any other model to dense QR on
-    K . diag(x), above the cutoff to ``spectral_radius``.
+    The route picks the effective matrix: diag(sqrt(x)) M diag(sqrt(x)) on
+    the symmetric one, K . diag(x) on the general one.  The size picks the
+    solver: above ``_DENSE_CUTOFF`` groups ``spectral_radius`` of that
+    matrix, otherwise ``eigvalsh`` on the symmetric route and dense QR on
+    the general one.
     """
-    if _dense_general(model):
-        return _dense_radius(model.matrix * x)
     m = _route(model)
-    if m is not None:
-        effective = _symmetrized(m, x)
-        if model.n <= _DENSE_CUTOFF:
-            return _symmetric_radius(effective)
-        return spectral_radius(effective, symmetric=True)
-    return spectral_radius(model.matrix * x)
+    effective = model.matrix * x if m is None else _symmetrized(m, x)
+    if model.n > _DENSE_CUTOFF:
+        return spectral_radius(effective)
+    return _dense_radius(effective) if m is None else _symmetric_radius(effective)
 
 
 def effective_re(model: MetapopModel, eta: Strategy) -> float:
@@ -428,8 +414,9 @@ def _re_with_eig(model: MetapopModel, x: np.ndarray, vectors: bool):
     """R_e at the strategy values ``x`` for the solver, which evaluates every
     point it visits here, and the solve behind it for ``_perron_roots``.
 
-    Where ``_dense_general`` holds and the caller asks for ``vectors`` (it
-    will take an eigen-gradient at x if it accepts x), that is one ``eig``
+    Where ``_matrix_re`` takes dense QR (the general route up to
+    ``_DENSE_CUTOFF`` groups) and the caller asks for ``vectors`` (it will
+    take an eigen-gradient at x if it accepts x), that is one ``eig``
     of K . diag(x), whose (rho, values, vectors) the gradient reuses: its
     rho is ``_matrix_re``'s float, as LAPACK's ``dgeev`` balances, reduces
     and sweeps the active block alike with or without vectors.  Elsewhere
@@ -445,7 +432,7 @@ def _re_with_eig(model: MetapopModel, x: np.ndarray, vectors: bool):
     So ``_pgd`` asks for ``vectors`` on those only up to its
     ``_HULL_EIG_GROUPS``.
     """
-    if vectors and _dense_general(model):
+    if vectors and model.n <= _DENSE_CUTOFF and _route(model) is None:
         solved = _eig(model.matrix * x)
         return solved[0], solved
     return _matrix_re(model, x), None

@@ -1,4 +1,5 @@
 import argparse
+import functools
 import json
 import math
 
@@ -162,6 +163,19 @@ class TestClassify:
         assert doc["verdict"] == "Indeterminate"
         assert doc["witness"]["convexity_violation"]["gap"] > 1e-4
         assert doc["witness"]["concavity_violation"]["gap"] < -1e-4
+
+    def test_failed_svd_exits_with_code_2(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "saddle.json"
+        save_model(fixtures.counterexample_positive_spectrum(), str(path))
+
+        @functools.wraps(np.linalg.svd)
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        code, out, err = run(capsys, ["classify", "--model", str(path)])
+        assert code == 2 and out == ""
+        assert "svd failed" in err
 
 
 class TestCstar:

@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from vaxfront import (
     MetapopModel,
+    NonConvergence,
     Strategy,
     ValidationError,
     classify,
@@ -174,6 +176,17 @@ class TestClassifyConvexity:
         verdict = classify_convexity(fixtures.cycle_model())
         assert verdict.verdict == "Indeterminate"
         assert verdict.reason == "MixedInertia"
+
+    def test_failed_svd_is_non_convergence(self, monkeypatch):
+        # The rank-one test of a kernel that is not symmetrizable takes the
+        # singular values through the one LAPACK boundary.
+        @functools.wraps(np.linalg.svd)
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        with pytest.raises(NonConvergence, match="^svd failed: "):
+            classify_convexity(fixtures.counterexample_positive_spectrum())
 
 
 class TestProbeConvexity:

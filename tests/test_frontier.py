@@ -963,24 +963,27 @@ class TestAntiParetoFrontier:
         assert np.all(np.diff(curve.losses()) <= 1e-12)
 
     def test_no_ascent_from_all_zeros(self, monkeypatch):
-        # At a positive budget R_e is 0 at all zeros, with no gradient there:
-        # a run from it cannot win, so none starts there.
+        # A run from a point where R_e is 0, with no gradient there, cannot
+        # win, so none starts there: not at all zeros, and not at a best
+        # vertex that scores 0, such as a single group of the 8-cycle at
+        # c = 0.875, which stays the incumbent.
         starts = []
         original = frontier._pgd
 
         def recorded(model, project, x0, **kw):
-            starts.append(x0)
+            starts.append((model, x0))
             return original(model, project, x0, **kw)
 
         monkeypatch.setattr(frontier, "_pgd", recorded)
-        anti_pareto_frontier(fixtures.cycle_model(8), UNIFORM, resolution=8)
+        curve = anti_pareto_frontier(fixtures.cycle_model(8), UNIFORM, resolution=8)
+        assert 0.875 in curve.costs().tolist()
         swept = len(starts)
         rng = np.random.default_rng(52)
         w = 0.2 + rng.random(21)
         model = MetapopModel(weights=w / math.fsum(w.tolist()), matrix=rng.random((21, 21)))
         optimal_loss_max(model, UNIFORM, 0.3)
         assert 0 < swept < len(starts)
-        assert not any((x0 == 0.0).all() for x0 in starts)
+        assert all(effective_re(m, Strategy(x0)) > 0.0 for m, x0 in starts)
 
 
 @st.composite

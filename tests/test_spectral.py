@@ -1,5 +1,7 @@
+import ast
 import functools
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -391,6 +393,27 @@ class TestGradient:
             checked += 1
 
 
+def _blocks_model(rng, scales):
+    """A block upper triangular K whose diagonal blocks are one seeded
+    3-group block times each of ``scales``, coupled above the diagonal,
+    and a strategy that repeats one seeded 3-group pattern, so that equal
+    scales give radii equal to the last bit."""
+    block, pattern = 0.2 + rng.random((3, 3)), 0.3 + 0.7 * rng.random(3)
+    n = 3 * len(scales)
+    k = np.triu(rng.random((n, n)), 3)
+    for i, scale in enumerate(scales):
+        k[3 * i:3 * i + 3, 3 * i:3 * i + 3] = scale * block
+    return MetapopModel(np.full(n, 1.0 / n), k), np.tile(pattern, len(scales))
+
+
+def _assert_block_rows(model, x, rows, blocks):
+    assert [tuple(np.flatnonzero(row)) for row in rows] == blocks
+    for row, block in zip(rows, map(list, blocks)):
+        sub, _ = _atom_submodel(model, CostFunction.uniform(), block)
+        want = re_gradient(sub, Strategy(x[block]))
+        np.testing.assert_allclose(row[block], want, rtol=0, atol=1e-10)
+
+
 class TestEffectiveAtoms:
     """A tie that the eigensolver does not keep apart, at a strategy with
     zeros: the rows are those of the components of K on {x > 0}."""
@@ -415,6 +438,20 @@ class TestEffectiveAtoms:
             want = re_gradient(sub, Strategy(x[block]))
             np.testing.assert_allclose(row[block], want, rtol=0, atol=1e-10)
         np.testing.assert_array_equal(re_gradient(model, Strategy(x)), rows[0])
+
+    def test_reducible_components_give_rows(self):
+        # The two atoms of a reducible K tie exactly; each gives its own row.
+        model, x = _blocks_model(np.random.default_rng(301), (1.0, 1.0))
+        rows = spectral._effective_atom_rows(model.matrix, x, effective_re(model, Strategy(x)))
+        _assert_block_rows(model, x, rows, [(0, 1, 2), (3, 4, 5)])
+
+    def test_simple_top_above_a_lower_tie(self):
+        # A simple top, then two atoms tied with each other 1e-4 below it,
+        # inside the window: three rows, the top first.
+        model, x = _blocks_model(np.random.default_rng(302), (1.0 - 1e-4, 1.0, 1.0 - 1e-4))
+        rows = spectral._effective_atom_rows(model.matrix, x, effective_re(model, Strategy(x)))
+        _assert_block_rows(model, x, rows, [(3, 4, 5), (0, 1, 2), (6, 7, 8)])
+
 
 def _tied_top_cases():
     """Exactly tied top eigenvalues on the symmetric route: the 12-cycle with
@@ -567,6 +604,26 @@ class TestFailurePolicy:
         with pytest.raises(NonConvergence, match="^eig failed: "):
             call(model, eta)
         assert len(solves) == 2
+
+    def test_every_linalg_call_goes_through_lapack(self):
+        # Each np.linalg routine in the package is the first argument of a
+        # _lapack call; LinAlgError, which _lapack catches, is the one other
+        # name read from np.linalg, and linalg is neither imported nor bound.
+        stray = []
+        for path in sorted(pathlib.Path(spectral.__file__).parent.glob("*.py")):
+            nodes = list(ast.walk(ast.parse(path.read_text(), filename=str(path))))
+            guarded = {id(node.args[0]) for node in nodes if isinstance(node, ast.Call)
+                       and getattr(node.func, "id", None) == "_lapack" and node.args}
+            names = {id(node): node for node in nodes if isinstance(node, ast.Attribute)
+                     and getattr(node.value, "attr", None) == "linalg"}
+            named = {id(node.value) for node in names.values()}
+            stray += [f"{path.name}:{node.lineno}" for node in nodes if (
+                id(node) in names and node.attr != "LinAlgError" and id(node) not in guarded
+                or isinstance(node, ast.Attribute) and node.attr == "linalg"
+                and id(node) not in named
+                or isinstance(node, (ast.Import, ast.ImportFrom)) and "linalg" in ast.unparse(node)
+            )]
+        assert stray == []
 
     def test_zero_overlap_row_is_refused(self):
         # Row 1's right and left vectors lie on different groups, so their
@@ -976,22 +1033,15 @@ class TestSymmetricRoute:
         assert radius == pytest.approx(2.0, abs=1e-12)
         assert caps == [(400, 400), (300, 300)]
 
-    def test_route_above_the_cutoff_skips_the_symmetry_test(self, monkeypatch):
-        # S = diag(sqrt(eta)) M diag(sqrt(eta)) is symmetric by construction,
-        # so its blocks take the symmetric branch without being compared with
-        # their transposes, and the radius keeps its bytes.
+    def test_route_above_the_cutoff_is_spectral_radius_of_s(self):
+        # Above the cutoff the symmetric route takes spectral_radius of
+        # S = diag(sqrt(eta)) M diag(sqrt(eta)), exactly symmetric by
+        # construction, and the radius keeps its bytes.
         rng = np.random.default_rng(83)
         model = _random_symmetric(rng, 2 * _DENSE_CUTOFF)
         eta = Strategy(rng.random(model.n))
         r = np.sqrt(eta.values)
-        want = spectral_radius(np.outer(r, r) * model.matrix)
-        effective_re(model, eta)  # the model derives its balance once, here
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("block compared with its transpose")
-
-        monkeypatch.setattr(np, "array_equal", refuse)
-        assert effective_re(model, eta) == want
+        assert effective_re(model, eta) == spectral_radius(np.outer(r, r) * model.matrix)
 
 
 def _balanced_draws():
